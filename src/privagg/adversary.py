@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from .keying import SERVER
 from .masking import collusion_recover
-from .protocol import MessageKind, RoundOutcome
+from .protocol import MessageKind, ProtocolError, RoundOutcome
 from .simnet import ScenarioConfig, Transcript, TraceEvent, run_scenario, with_overrides
 
 _CHAIN_INBOUND = frozenset({MessageKind.MASKED_FORWARD, MessageKind.RELAY_DOWN})
@@ -159,7 +159,8 @@ def run_server_probe(config: ScenarioConfig) -> AttackOutcome:
     result = transcript.result
     if result.outcome is RoundOutcome.REFUSED:
         return AttackOutcome(disclosed={}, success=False, defense_triggered=True)
-    assert result.outcome is RoundOutcome.SUM and result.total is not None
+    if result.outcome is not RoundOutcome.SUM or result.total is None:
+        raise ProtocolError(f"probe round ended {result.outcome.value} without a sum")
     return AttackOutcome(
         disclosed={result.initiator: result.total},
         success=True,

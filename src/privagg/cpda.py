@@ -288,7 +288,8 @@ def benchmark_kernel(
             start = time.perf_counter_ns()
             total, op_count = _chain_kernel(values, rng, modulus)
             timings.append(time.perf_counter_ns() - start)
-            assert total == expected
+            if total != expected:
+                raise RuntimeError(f"chain kernel sum {total} != {expected}")
     else:
         q = next_prime(value_bound * n_nodes)
         cluster = Cluster(values=values, seeds=default_seeds(n_nodes))
@@ -301,7 +302,8 @@ def benchmark_kernel(
             start = time.perf_counter_ns()
             total = cluster_round(cluster, rng, q)
             timings.append(time.perf_counter_ns() - start)
-            assert total == expected
+            if total != expected:
+                raise RuntimeError(f"cluster kernel sum {total} != {expected}")
     return BenchResult(
         scheme=scheme,
         n_nodes=n_nodes,

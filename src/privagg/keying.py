@@ -144,12 +144,6 @@ class Permutation:
             raise ValueError("bank size does not match permutation size")
         return tuple(items[i] for i in self.order)
 
-    def then(self, nxt: "Permutation") -> "Permutation":
-        """Composition: apply self to the canonical bank, then ``nxt``."""
-        if len(nxt) != len(self):
-            raise ValueError("cannot compose permutations of different sizes")
-        return Permutation(tuple(self.order[i] for i in nxt.order))
-
 
 @dataclass(frozen=True)
 class SessionKey:
@@ -169,10 +163,12 @@ def pairwise_key_value(
     """Key selected by an announced index through both endpoint orderings.
 
     Either endpoint can evaluate this once it has received the peer's
-    permutation; both evaluations agree by construction.
+    permutation; both evaluations agree by construction.  The index goes
+    through the responder's ordering, then the initiator's.
     """
-    composed = initiator_perm.then(responder_perm)
-    return source_bank[composed.slot(index)]
+    if len(initiator_perm) != len(responder_perm):
+        raise ValueError("cannot compose permutations of different sizes")
+    return source_bank[initiator_perm.order[responder_perm.slot(index)]]
 
 
 @dataclass

@@ -255,7 +255,8 @@ class RoundRunner:
         The mask is drawn uniformly from [0, modulus), retained only at the
         initiator, and never transmitted.
         """
-        assert self.initiator is not None, "start_round must run first"
+        if self.initiator is None:
+            raise ProtocolError("start_round must run before initiator_begin")
         node = self.nodes[self.initiator]
         if self.force_initial_mask is not None:
             mask = self.force_initial_mask
@@ -363,8 +364,11 @@ class RoundRunner:
 
     def finalize_round(self, last_id: int, value: int) -> RoundResult:
         """Collect the final masked value and have the initiator unmask it."""
-        assert self.initiator is not None
+        if self.initiator is None:
+            raise ProtocolError("start_round must run before finalize_round")
         initiator = self.nodes[self.initiator]
+        if initiator.mask is None:
+            raise ProtocolError("initiator_begin must run before finalize_round")
         self._send(
             MessageKind.NEXT_HOP_DIRECTIVE,
             SERVER,
@@ -386,7 +390,6 @@ class RoundRunner:
             value,
             self._agg_key_id(initiator.node_id),
         )
-        assert initiator.mask is not None
         total = unmask(value, initiator.mask, self.modulus)
         if self.defense_enabled and total == initiator.value:
             self._send(
@@ -421,17 +424,16 @@ class RoundRunner:
     def run(self) -> RoundResult:
         """Execute a complete round and return its result."""
         self.establish_sessions()
-        self.start_round()
+        holder = self.start_round()
         value, _ = self.initiator_begin()
-        holder = self.initiator
-        assert holder is not None
         if not self.malicious_probe:
             while len(self.agg.participated) < len(self.nodes):
                 nxt = self.server_select_next(self.agg.last_report)
                 jump = nxt is None
                 if jump:
                     nxt = self.server_relay_jump_choice()
-                assert nxt not in self.agg.participated
+                if nxt in self.agg.participated:
+                    raise ProtocolError(f"{node_label(nxt)} selected twice")
                 self._send(
                     MessageKind.NEXT_HOP_DIRECTIVE,
                     SERVER,

@@ -16,7 +16,11 @@ and seed: replaying the same seed reproduces it byte for byte.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
+from itertools import repeat
+from operator import attrgetter
 
 from .keying import SERVER, KeyBank, KeyBankConfig, KeyDirectory
 from .protocol import (
@@ -53,29 +57,33 @@ class Topology:
     def __init__(
         self,
         n_sources: int,
-        edges: tuple[tuple[int, int], ...],
+        edges: Iterable[tuple[int, int]],
         aggregator_links: frozenset[int],
         augmented_links: tuple[int, ...] = (),
     ) -> None:
         if n_sources < 1:
             raise ValueError("topology needs at least one source")
         self.n_sources = n_sources
-        self.aggregator_links = frozenset(aggregator_links)
-        self.augmented_links = tuple(augmented_links)
-        adjacency: dict[int, set[int]] = {i: set() for i in range(1, n_sources + 1)}
-        canonical: set[tuple[int, int]] = set()
+        adjacency: list[set[int]] = [set() for _ in range(n_sources + 1)]
         for a, b in edges:
             if a == b or not (1 <= a <= n_sources and 1 <= b <= n_sources):
                 raise ValueError(f"bad edge ({a}, {b})")
-            lo, hi = sorted((a, b))
-            canonical.add((lo, hi))
             adjacency[a].add(b)
             adjacency[b].add(a)
+        self._adjacency = {i: frozenset(adjacency[i]) for i in self.sources()}
+        edge_list: list[tuple[int, int]] = []
+        for a in self.sources():
+            peers = sorted(adjacency[a])
+            edge_list.extend(zip(repeat(a), peers[bisect_right(peers, a) :]))
+        self.edges = tuple(edge_list)
+        self._link_server(aggregator_links, augmented_links)
+
+    def _link_server(self, links: Iterable[int], augmented: Iterable[int]) -> None:
+        self.aggregator_links = frozenset(links)
+        self.augmented_links = tuple(augmented)
         for s in self.aggregator_links:
-            if not 1 <= s <= n_sources:
+            if not 1 <= s <= self.n_sources:
                 raise ValueError(f"bad aggregator link to {s}")
-        self.edges = tuple(sorted(canonical))
-        self._adjacency = {i: frozenset(peers) for i, peers in adjacency.items()}
 
     def sources(self) -> range:
         return range(1, self.n_sources + 1)
@@ -129,38 +137,39 @@ class Topology:
 def generate_topology(n: int, p: float, rng: random.Random) -> Topology:
     """Random topology: each source pair linked independently with probability
     ``p``; one server link is then added per source component that has none,
-    so every source reaches the server and no source is fully isolated."""
+    so every source reaches the server and no source is fully isolated.
+
+    It makes one ``rng.random()`` draw per pair ``a < b`` (O(n²) draws, in
+    row order), then one ``rng.choice`` per component, components taken in
+    order of their smallest member.  Everything around the draws is
+    O(n + m) for m edges.  The draw order is part of the transcript
+    contract: changing it changes every seeded transcript.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 0.0 <= p <= 1.0:
         raise ValueError("edge probability must be in [0, 1]")
-    edges = []
-    parent = list(range(n + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a in range(1, n + 1):
-        for b in range(a + 1, n + 1):
-            if rng.random() < p:
-                edges.append((a, b))
-                parent[find(a)] = find(b)
-    components: dict[int, list[int]] = {}
-    for s in range(1, n + 1):
-        components.setdefault(find(s), []).append(s)
-    augmented = []
-    for root in sorted(components, key=lambda r: min(components[r])):
-        chosen = rng.choice(sorted(components[root]))
-        augmented.append(chosen)
-    return Topology(
-        n_sources=n,
-        edges=tuple(edges),
-        aggregator_links=frozenset(augmented),
-        augmented_links=tuple(augmented),
+    draw = rng.random
+    topology = Topology(
+        n,
+        [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1) if draw() < p],
+        frozenset(),
     )
+    seen = [False] * (n + 1)
+    augmented = []
+    for start in topology.sources():
+        if seen[start]:
+            continue
+        seen[start] = True
+        component = [start]
+        for node in component:
+            for peer in topology.neighbors(node):
+                if not seen[peer]:
+                    seen[peer] = True
+                    component.append(peer)
+        augmented.append(rng.choice(sorted(component)))
+    topology._link_server(augmented, augmented)
+    return topology
 
 
 @dataclass(frozen=True)
@@ -201,7 +210,12 @@ class Transcript:
         return self.results[-1]
 
     def round_events(self, round_no: int) -> list[TraceEvent]:
-        return [e for e in self.events if e.round_no == round_no]
+        """Events of one round; ``events`` is in delivery order, so rounds
+        appear in non-decreasing order and each round is one slice."""
+        key = attrgetter("round_no")
+        lo = bisect_left(self.events, round_no, key=key)
+        hi = bisect_right(self.events, round_no, lo=lo, key=key)
+        return self.events[lo:hi]
 
     def serialize(self) -> str:
         """Line log: step, sender, receiver, variant, key id or PLAIN, payload."""

@@ -2,12 +2,14 @@
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
 from privagg import (
     AttackNotApplicableError,
     MessageKind,
+    RoundOutcome,
     ScenarioConfig,
     empirical_disclosure_rate,
     mask_initial,
@@ -20,7 +22,9 @@ from privagg import (
     semi_honest_view,
     with_overrides,
 )
+from privagg import adversary
 from privagg.adversary import chain_hops, links_used
+from privagg.protocol import ProtocolError
 
 PATH_CHAIN = ScenarioConfig(
     n_sources=3,
@@ -154,6 +158,17 @@ def test_server_probe_ablation_discloses_initiator_value():
 def test_server_probe_requires_probe_scenario():
     with pytest.raises(ValueError):
         run_server_probe(PATH_CHAIN)
+
+
+def test_server_probe_without_sum_raises(monkeypatch):
+    config = with_overrides(PATH_CHAIN, adversary="probe_ablation")
+    transcript = run_scenario(config)
+    transcript.results[-1] = replace(
+        transcript.result, outcome=RoundOutcome.ABORTED, total=None
+    )
+    monkeypatch.setattr(adversary, "run_scenario", lambda _config: transcript)
+    with pytest.raises(ProtocolError, match="aborted"):
+        run_server_probe(config)
 
 
 def test_probe_sweep_all_initiators():

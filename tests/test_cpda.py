@@ -15,6 +15,7 @@ from privagg import (
     next_prime,
     share_row,
 )
+from privagg import cpda
 from privagg.cpda import BENCH_CSV_HEADER, SingularSystemError, _solve_mod, default_seeds
 
 
@@ -164,6 +165,15 @@ def test_benchmark_deterministic_op_count():
     a = benchmark_kernel("cpda", 4, repetitions=2, seed=0)
     b = benchmark_kernel("cpda", 4, repetitions=5, seed=9)
     assert a.op_count == b.op_count
+
+
+def test_benchmark_rejects_wrong_kernel_sum(monkeypatch):
+    monkeypatch.setattr(cpda, "_chain_kernel", lambda values, rng, modulus: (-1, 0))
+    with pytest.raises(RuntimeError, match="chain kernel"):
+        benchmark_kernel("ours", 3, repetitions=1)
+    monkeypatch.setattr(cpda, "cluster_round", lambda cluster, rng, q, ops=None: -1)
+    with pytest.raises(RuntimeError, match="cluster kernel"):
+        benchmark_kernel("cpda", 3, repetitions=1)
 
 
 def test_benchmark_validation():

@@ -243,3 +243,25 @@ def test_sessions_dropped_between_rounds():
     directory.begin_round(2)
     assert not directory.keyring(1).pair_sessions
     assert directory.keyring(1).aggregator_session is None
+
+
+def test_pairwise_key_value_reads_composed_slot():
+    rng = random.Random(5)
+    bank = tuple(rng.randrange(2**32) for _ in range(8))
+    for _ in range(50):
+        first = Permutation.random(8, rng)
+        second = Permutation.random(8, rng)
+        for index in range(1, 9):
+            expected = bank[first.order[second.order[index - 1]]]
+            assert pairwise_key_value(bank, first, second, index) == expected
+
+
+def test_pairwise_key_value_errors():
+    rng = random.Random(6)
+    bank = tuple(range(8))
+    first = Permutation.random(8, rng)
+    with pytest.raises(ValueError, match="different sizes"):
+        pairwise_key_value(bank, first, Permutation.random(7, rng), 1)
+    for index in (0, 9):
+        with pytest.raises(IndexRangeError):
+            pairwise_key_value(bank, first, Permutation.random(8, rng), index)

@@ -242,3 +242,17 @@ def test_only_index_announcements_are_plaintext():
         for event in transcript.events:
             if event.message.key_id is None:
                 assert event.message.kind is MessageKind.KEY_INDEX_ANNOUNCE
+
+
+def test_phase_order_checked_without_assert():
+    runner, network = build_round(path_topology(3), (1, 2, 3), 16)
+    runner.establish_sessions()
+    with pytest.raises(ProtocolError, match="start_round"):
+        runner.finalize_round(1, 0)
+    with pytest.raises(ProtocolError, match="start_round"):
+        runner.initiator_begin()
+    runner.start_round()
+    sent = len(network.events)
+    with pytest.raises(ProtocolError, match="initiator_begin"):
+        runner.finalize_round(1, 0)
+    assert len(network.events) == sent  # refused before anything is sent

@@ -202,3 +202,17 @@ def test_config_validation_names_bad_field(changes, field):
     with pytest.raises(ConfigError) as exc_info:
         ScenarioConfig(**base).validate()
     assert exc_info.value.fieldname == field
+
+
+def test_round_events_matches_linear_scan():
+    transcript = run_scenario(
+        ScenarioConfig(
+            n_sources=12, modulus=2**16, value_range=(0, 99), seed=3, rounds=5
+        )
+    )
+    for round_no in range(0, 7):
+        expected = [e for e in transcript.events if e.round_no == round_no]
+        assert transcript.round_events(round_no) == expected
+    assert sum(len(transcript.round_events(r)) for r in range(1, 6)) == len(
+        transcript.events
+    )
