@@ -56,7 +56,6 @@ from .protocol import (
     RoundOutcome,
     RoundResult,
     RoundRunner,
-    SourceNode,
     node_label,
 )
 from .simnet import (
@@ -70,7 +69,6 @@ from .simnet import (
     generate_topology,
     run_scenario,
     scenario_values,
-    with_overrides,
 )
 
 __version__ = "0.1.0"
@@ -99,7 +97,6 @@ __all__ = [
     "ScenarioConfig",
     "SessionKey",
     "SourceKeyring",
-    "SourceNode",
     "Topology",
     "TraceEvent",
     "Transcript",
@@ -131,5 +128,4 @@ __all__ = [
     "share_row",
     "sweep_curve",
     "unmask",
-    "with_overrides",
 ]

@@ -15,9 +15,8 @@ seed, mode, adversary, rounds.  ``values`` is either an explicit comma list
 (``3,9,14``) or an inclusive sampling range (``0..99``) drawn fresh per
 round.  Unknown keys are rejected so configs stay reproducible.
 
-Exit codes: 0 on success (``run``: round ended in a sum), 1 on invalid
-configuration or flags, 2 when the final round was refused, 3 when it
-aborted.
+Exit codes: 0 on success (``run``: the final round ended in a sum), 1 on
+invalid configuration or flags, 2 when the final round was refused.
 """
 
 from __future__ import annotations
@@ -25,6 +24,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+from dataclasses import replace
 
 from .adversary import (
     AttackNotApplicableError,
@@ -34,13 +34,7 @@ from .adversary import (
 from .analysis import DisclosureModel, curve_csv, probability_grid, sweep_curve
 from .cpda import CPDA_MAX_CLUSTER, CPDA_MIN_CLUSTER, bench_csv, benchmark_kernel
 from .protocol import RoundOutcome, node_label
-from .simnet import (
-    ConfigError,
-    ScenarioConfig,
-    run_scenario,
-    scenario_values,
-    with_overrides,
-)
+from .simnet import ConfigError, ScenarioConfig, run_scenario, scenario_values
 
 ATTACK_CSV_HEADER = "model,target,disclosed_value,true_value,exact,defense_triggered"
 
@@ -57,25 +51,22 @@ _CONFIG_KEYS = (
     "rounds",
 )
 
-_EXIT_BY_OUTCOME = {
-    RoundOutcome.SUM: 0,
-    RoundOutcome.REFUSED: 2,
-    RoundOutcome.ABORTED: 3,
-}
+_EXIT_BY_OUTCOME = {RoundOutcome.SUM: 0, RoundOutcome.REFUSED: 2}
 
 
-def _parse_int(key: str, raw: str) -> int:
+def _parse_number(key: str, raw: str, kind: type = int):
     try:
-        return int(raw)
+        return kind(raw)
     except ValueError:
-        raise ConfigError(key, f"expected an integer, got {raw!r}") from None
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(key, f"expected {noun}, got {raw!r}") from None
 
 
 def _parse_values(raw: str) -> tuple[tuple[int, ...] | None, tuple[int, int] | None]:
     if ".." in raw:
         lo_raw, _, hi_raw = raw.partition("..")
-        return None, (_parse_int("values", lo_raw), _parse_int("values", hi_raw))
-    return tuple(_parse_int("values", v) for v in raw.split(",")), None
+        return None, (_parse_number("values", lo_raw), _parse_number("values", hi_raw))
+    return tuple(_parse_number("values", v) for v in raw.split(",")), None
 
 
 def parse_config_text(text: str) -> ScenarioConfig:
@@ -99,17 +90,17 @@ def parse_config_text(text: str) -> ScenarioConfig:
             raise ConfigError(required, "required key missing")
     values, value_range = _parse_values(entries["values"])
     config = ScenarioConfig(
-        n_sources=_parse_int("n_sources", entries["n_sources"]),
-        modulus=_parse_int("modulus", entries["modulus"]),
+        n_sources=_parse_number("n_sources", entries["n_sources"]),
+        modulus=_parse_number("modulus", entries["modulus"]),
         values=values,
         value_range=value_range,
-        total_keys=_parse_int("K", entries.get("K", "100")),
-        source_source_keys=_parse_int("k", entries.get("k", "30")),
-        edge_prob=float(entries.get("p", "0.5")),
-        seed=_parse_int("seed", entries.get("seed", "0")),
+        total_keys=_parse_number("K", entries.get("K", "100")),
+        source_source_keys=_parse_number("k", entries.get("k", "30")),
+        edge_prob=_parse_number("p", entries.get("p", "0.5"), float),
+        seed=_parse_number("seed", entries.get("seed", "0")),
         mode=entries.get("mode", "direct"),
         adversary=entries.get("adversary", "none"),
-        rounds=_parse_int("rounds", entries.get("rounds", "1")),
+        rounds=_parse_number("rounds", entries.get("rounds", "1")),
     )
     config.validate()
     return config
@@ -123,7 +114,7 @@ def load_config(path: str, seed_override: int | None = None) -> ScenarioConfig:
         raise ConfigError("config", f"cannot read {path}: {exc}") from None
     config = parse_config_text(text)
     if seed_override is not None:
-        config = with_overrides(config, seed=seed_override)
+        config = replace(config, seed=seed_override)
     return config
 
 
@@ -168,7 +159,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
     kind, _, param = model.partition(":")
     rows = [ATTACK_CSV_HEADER]
     if kind in ("probe", "probe_ablation"):
-        transcript = run_scenario(with_overrides(config, adversary=kind))
+        transcript = run_scenario(replace(config, adversary=kind))
         result = transcript.result
         truth = scenario_values(config, len(transcript.results))
         refused = result.outcome is RoundOutcome.REFUSED
@@ -182,10 +173,10 @@ def cmd_attack(args: argparse.Namespace) -> int:
             )
         )
     elif kind == "collusion":
-        transcript = run_scenario(with_overrides(config, adversary="none"))
+        transcript = run_scenario(replace(config, adversary="none"))
         truth = scenario_values(config, len(transcript.results))
         visitation = transcript.result.visitation
-        targets = [int(param)] if param else list(visitation[1:-1])
+        targets = [_parse_number("adversary", param)] if param else visitation[1:-1]
         for target in targets:
             try:
                 outcome = run_collusion_attack(transcript, target)
@@ -203,8 +194,8 @@ def cmd_attack(args: argparse.Namespace) -> int:
     elif kind == "link":
         if not param:
             raise ConfigError("adversary", "link model needs a probability: link:B")
-        b = float(param)
-        transcript = run_scenario(with_overrides(config, adversary="none"))
+        b = _parse_number("adversary", param, float)
+        transcript = run_scenario(replace(config, adversary="none"))
         truth = scenario_values(config, len(transcript.results))
         rng = random.Random(f"{config.seed}:attack:link")
         outcome = run_link_compromise(transcript, b, rng)

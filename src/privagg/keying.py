@@ -271,13 +271,13 @@ class KeyDirectory:
         except KeyError:
             raise UnknownSourceError(f"source {source_id} not provisioned") from None
 
-    def provisioned_sources(self) -> tuple[int, ...]:
-        return tuple(sorted(self._keyrings))
-
     # -- per-round session keys -------------------------------------------
 
     def begin_round(self, round_no: int) -> None:
+        """Drop every session key of the previous round, so the possession
+        registry holds one round's keys at most."""
         self.round_no = round_no
+        self._holders.clear()
         for keyring in self._keyrings.values():
             keyring.begin_round(round_no)
 

@@ -25,11 +25,11 @@ runs of the same seed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
 
-from .keying import SERVER, KeyDirectory, Permutation
+from .keying import SERVER, Permutation
 from .masking import chain_add, mask_initial, unmask
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -110,38 +110,9 @@ class Message:
         return "-"
 
 
-class Phase(Enum):
-    IDLE = "idle"
-    INITIATOR = "initiator"
-    PARTICIPATED = "participated"
-
-
-@dataclass
-class SourceNode:
-    """Runtime state of one source during a round."""
-
-    node_id: int
-    value: int
-    neighbors: frozenset[int]
-    phase: Phase = Phase.IDLE
-    mask: int | None = None  # initiator only; never transmitted
-    received: int | None = None
-    sent: int | None = None
-
-
-@dataclass
-class AggregatorState:
-    """What the server tracks while orchestrating a round."""
-
-    mode: str
-    participated: set[int] = field(default_factory=set)
-    last_report: tuple[int, ...] = ()
-
-
 class RoundOutcome(Enum):
     SUM = "sum"
     REFUSED = "refused"
-    ABORTED = "aborted"
 
 
 @dataclass(frozen=True)
@@ -156,21 +127,22 @@ class RoundResult:
 class RoundRunner:
     """Drives one aggregation round as a deterministic sequential machine.
 
-    The runner plays both the server's orchestration and the node handlers;
-    every message goes through ``network.deliver`` so the transcript captures
-    the complete wire picture.
+    The runner plays both the server's orchestration and the node handlers,
+    and is the only owner of round state: who has joined, in what order,
+    and the initiator's mask.  Sources and neighborhoods come from
+    ``network.topology``, keys from ``network.directory``; ``values[sid - 1]``
+    is source ``sid``'s private value.  Every message goes through
+    ``network.deliver`` so the transcript captures the complete wire picture.
     """
 
     def __init__(
         self,
         network: "Network",
-        directory: KeyDirectory,
-        nodes: dict[int, SourceNode],
+        values: tuple[int, ...],
         modulus: int,
         mode: str = "direct",
         rng: random.Random | None = None,
         keying_rng: random.Random | None = None,
-        round_no: int = 1,
         malicious_probe: bool = False,
         defense_enabled: bool = True,
         force_initiator: int | None = None,
@@ -178,32 +150,35 @@ class RoundRunner:
     ) -> None:
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-        if not nodes:
-            raise ProtocolError("cannot run a round with no sources")
+        self.sources = network.topology.sources()
+        if len(values) != len(self.sources):
+            raise ProtocolError(
+                f"expected {len(self.sources)} values, got {len(values)}"
+            )
         self.network = network
-        self.directory = directory
-        self.nodes = nodes
+        self.directory = network.directory
+        self.values = tuple(values)
         self.modulus = modulus
         self.mode = mode
         self.rng = rng if rng is not None else random.Random()
         self.keying_rng = keying_rng if keying_rng is not None else random.Random()
-        self.round_no = round_no
         self.malicious_probe = malicious_probe
         self.defense_enabled = defense_enabled
         self.force_initiator = force_initiator
         self.force_initial_mask = force_initial_mask
-        self.agg = AggregatorState(mode=mode)
-        self.initiator: int | None = None
+        self.participated: set[int] = set()
         self.visitation: list[int] = []
+        self.initiator: int | None = None
+        self.mask: int | None = None  # initiator only; never transmitted
 
     # -- session establishment ----------------------------------------------
 
     def establish_sessions(self) -> None:
-        """Each source announces a fresh plaintext index into its permuted
-        server bank; both ends activate the session key it selects."""
-        self.directory.begin_round(self.round_no)
+        """Open the next round; each source announces a fresh plaintext index
+        into its permuted server bank and both ends activate the session key
+        it selects."""
         self.network.begin_round()
-        for sid in sorted(self.nodes):
+        for sid in self.sources:
             keyring = self.directory.keyring(sid)
             index, source_key = keyring.select_aggregator_key(self.keying_rng)
             self._send(MessageKind.KEY_INDEX_ANNOUNCE, sid, SERVER, index, None)
@@ -231,15 +206,13 @@ class RoundRunner:
 
     def start_round(self) -> int:
         """Server picks the initiator uniformly and signals it."""
-        candidates = sorted(self.nodes)
         if self.force_initiator is not None:
-            if self.force_initiator not in self.nodes:
+            if self.force_initiator not in self.sources:
                 raise ProtocolError(f"forced initiator {self.force_initiator} unknown")
             initiator = self.force_initiator
         else:
-            initiator = self.rng.choice(candidates)
+            initiator = self.rng.choice(self.sources)
         self.initiator = initiator
-        self.nodes[initiator].phase = Phase.INITIATOR
         self._send(
             MessageKind.INITIATE_ROUND,
             SERVER,
@@ -249,6 +222,20 @@ class RoundRunner:
         )
         return initiator
 
+    def _join_chain(self, node_id: int) -> tuple[int, ...]:
+        """Record the node as the next contributor; it reports its neighborhood."""
+        self.participated.add(node_id)
+        self.visitation.append(node_id)
+        report = tuple(sorted(self.network.topology.neighbors(node_id)))
+        self._send(
+            MessageKind.NEIGHBOR_REPORT,
+            node_id,
+            SERVER,
+            report,
+            self._agg_key_id(node_id),
+        )
+        return report
+
     def initiator_begin(self) -> tuple[int, tuple[int, ...]]:
         """Initiator masks its value and reports its neighborhood.
 
@@ -257,40 +244,26 @@ class RoundRunner:
         """
         if self.initiator is None:
             raise ProtocolError("start_round must run before initiator_begin")
-        node = self.nodes[self.initiator]
         if self.force_initial_mask is not None:
-            mask = self.force_initial_mask
+            self.mask = self.force_initial_mask
         else:
-            mask = self.rng.randrange(self.modulus)
-        node.mask = mask
-        first = mask_initial(node.value, mask, self.modulus)
-        node.sent = first
-        self.agg.participated.add(node.node_id)
-        self.visitation.append(node.node_id)
-        report = tuple(sorted(node.neighbors))
-        self._send(
-            MessageKind.NEIGHBOR_REPORT,
-            node.node_id,
-            SERVER,
-            report,
-            self._agg_key_id(node.node_id),
-        )
-        self.agg.last_report = report
-        return first, report
+            self.mask = self.rng.randrange(self.modulus)
+        first = mask_initial(self.values[self.initiator - 1], self.mask, self.modulus)
+        return first, self._join_chain(self.initiator)
 
     def server_select_next(self, reported: tuple[int, ...]) -> int | None:
         """Uniform choice among reported neighbors not yet participated.
 
         Returns None when the reported neighborhood is exhausted.
         """
-        candidates = sorted(set(reported) - self.agg.participated)
+        candidates = sorted(set(reported) - self.participated)
         if not candidates:
             return None
         return self.rng.choice(candidates)
 
     def server_relay_jump_choice(self) -> int:
         """Uniform choice among all sources not yet participated."""
-        candidates = sorted(set(self.nodes) - self.agg.participated)
+        candidates = [s for s in self.sources if s not in self.participated]
         if not candidates:
             raise ProtocolError("relay jump requested but every source participated")
         return self.rng.choice(candidates)
@@ -341,33 +314,21 @@ class RoundRunner:
             self._agg_key_id(receiver_id),
         )
 
-    def _receive_chain_value(self, node_id: int, value: int) -> int:
+    def _receive_chain_value(
+        self, node_id: int, value: int
+    ) -> tuple[int, tuple[int, ...]]:
         """Node folds its own value in and reports its neighborhood."""
-        node = self.nodes[node_id]
-        if node.phase is not Phase.IDLE:
+        if node_id in self.participated:
             raise ProtocolError(f"{node_label(node_id)} asked to participate twice")
-        node.received = value
-        node.sent = chain_add(value, node.value, self.modulus)
-        node.phase = Phase.PARTICIPATED
-        self.agg.participated.add(node_id)
-        self.visitation.append(node_id)
-        report = tuple(sorted(node.neighbors))
-        self._send(
-            MessageKind.NEIGHBOR_REPORT,
-            node_id,
-            SERVER,
-            report,
-            self._agg_key_id(node_id),
-        )
-        self.agg.last_report = report
-        return node.sent
+        sent = chain_add(value, self.values[node_id - 1], self.modulus)
+        return sent, self._join_chain(node_id)
 
     def finalize_round(self, last_id: int, value: int) -> RoundResult:
         """Collect the final masked value and have the initiator unmask it."""
-        if self.initiator is None:
+        initiator = self.initiator
+        if initiator is None:
             raise ProtocolError("start_round must run before finalize_round")
-        initiator = self.nodes[self.initiator]
-        if initiator.mask is None:
+        if self.mask is None:
             raise ProtocolError("initiator_begin must run before finalize_round")
         self._send(
             MessageKind.NEXT_HOP_DIRECTIVE,
@@ -383,41 +344,24 @@ class RoundRunner:
             value,
             self._agg_key_id(last_id),
         )
+        initiator_key = self._agg_key_id(initiator)
         self._send(
-            MessageKind.COMPUTE_SUM_DIRECTIVE,
-            SERVER,
-            initiator.node_id,
-            value,
-            self._agg_key_id(initiator.node_id),
+            MessageKind.COMPUTE_SUM_DIRECTIVE, SERVER, initiator, value, initiator_key
         )
-        total = unmask(value, initiator.mask, self.modulus)
-        if self.defense_enabled and total == initiator.value:
+        total = unmask(value, self.mask, self.modulus)
+        if self.defense_enabled and total == self.values[initiator - 1]:
             self._send(
-                MessageKind.OPERATION_REFUSED,
-                initiator.node_id,
-                SERVER,
-                None,
-                self._agg_key_id(initiator.node_id),
+                MessageKind.OPERATION_REFUSED, initiator, SERVER, None, initiator_key
             )
-            return RoundResult(
-                outcome=RoundOutcome.REFUSED,
-                total=None,
-                reason=REFUSAL_TEXT,
-                initiator=initiator.node_id,
-                visitation=tuple(self.visitation),
-            )
-        self._send(
-            MessageKind.SUM_REPORT,
-            initiator.node_id,
-            SERVER,
-            total,
-            self._agg_key_id(initiator.node_id),
-        )
+            outcome, total, reason = RoundOutcome.REFUSED, None, REFUSAL_TEXT
+        else:
+            self._send(MessageKind.SUM_REPORT, initiator, SERVER, total, initiator_key)
+            outcome, reason = RoundOutcome.SUM, None
         return RoundResult(
-            outcome=RoundOutcome.SUM,
+            outcome=outcome,
             total=total,
-            reason=None,
-            initiator=initiator.node_id,
+            reason=reason,
+            initiator=initiator,
             visitation=tuple(self.visitation),
         )
 
@@ -425,15 +369,13 @@ class RoundRunner:
         """Execute a complete round and return its result."""
         self.establish_sessions()
         holder = self.start_round()
-        value, _ = self.initiator_begin()
+        value, report = self.initiator_begin()
         if not self.malicious_probe:
-            while len(self.agg.participated) < len(self.nodes):
-                nxt = self.server_select_next(self.agg.last_report)
+            while len(self.participated) < len(self.sources):
+                nxt = self.server_select_next(report)
                 jump = nxt is None
                 if jump:
                     nxt = self.server_relay_jump_choice()
-                if nxt in self.agg.participated:
-                    raise ProtocolError(f"{node_label(nxt)} selected twice")
                 self._send(
                     MessageKind.NEXT_HOP_DIRECTIVE,
                     SERVER,
@@ -446,6 +388,6 @@ class RoundRunner:
                 else:
                     self._ensure_pairwise(holder, nxt)
                     self.forward_masked(holder, nxt, value)
-                value = self._receive_chain_value(nxt, value)
+                value, report = self._receive_chain_value(nxt, value)
                 holder = nxt
         return self.finalize_round(holder, value)

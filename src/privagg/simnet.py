@@ -18,19 +18,12 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import repeat
 from operator import attrgetter
 
 from .keying import SERVER, KeyBank, KeyBankConfig, KeyDirectory
-from .protocol import (
-    MODES,
-    Message,
-    RoundResult,
-    RoundRunner,
-    SourceNode,
-    node_label,
-)
+from .protocol import MODES, Message, RoundResult, RoundRunner, node_label
 
 ADVERSARY_KINDS = ("none", "probe", "probe_ablation", "collusion", "link")
 
@@ -96,27 +89,6 @@ class Topology:
 
     def has_edge(self, a: int, b: int) -> bool:
         return b in self._adjacency.get(a, frozenset())
-
-    def reaches_server(self, source_id: int) -> bool:
-        """True when the source has some path to the server."""
-        seen = {source_id}
-        frontier = [source_id]
-        while frontier:
-            node = frontier.pop()
-            if node in self.aggregator_links:
-                return True
-            for peer in self._adjacency[node]:
-                if peer not in seen:
-                    seen.add(peer)
-                    frontier.append(peer)
-        return False
-
-    def check_invariants(self) -> None:
-        for s in self.sources():
-            if not self._adjacency[s] and s not in self.aggregator_links:
-                raise ValueError(f"source {s} has no neighbor and no server link")
-            if not self.reaches_server(s):
-                raise ValueError(f"source {s} cannot reach the server")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Topology):
@@ -238,7 +210,10 @@ class Network:
         self._all_principals = topology.principals()
 
     def begin_round(self) -> None:
+        """Advance to the next round; the directory drops the last round's
+        session keys."""
         self.round_no += 1
+        self.directory.begin_round(self.round_no)
 
     def deliver(self, message: Message) -> TraceEvent:
         sender, receiver = message.sender, message.receiver
@@ -362,24 +337,13 @@ def run_scenario(config: ScenarioConfig) -> Transcript:
     defense = config.adversary != "probe_ablation"
     transcript = Transcript(seed=config.seed, modulus=config.modulus)
     for round_no in range(1, config.rounds + 1):
-        values = scenario_values(config, round_no)
-        nodes = {
-            sid: SourceNode(
-                node_id=sid,
-                value=values[sid - 1],
-                neighbors=topology.neighbors(sid),
-            )
-            for sid in topology.sources()
-        }
         runner = RoundRunner(
             network=network,
-            directory=directory,
-            nodes=nodes,
+            values=scenario_values(config, round_no),
             modulus=config.modulus,
             mode=config.mode,
             rng=_subrng(config.seed, f"round:{round_no}"),
             keying_rng=_subrng(config.seed, f"keying:{round_no}"),
-            round_no=round_no,
             malicious_probe=probe,
             defense_enabled=defense,
             force_initiator=config.force_initiator,
@@ -389,7 +353,3 @@ def run_scenario(config: ScenarioConfig) -> Transcript:
     transcript.events = network.events
     return transcript
 
-
-def with_overrides(config: ScenarioConfig, **changes: object) -> ScenarioConfig:
-    """Copy a config with selected fields replaced."""
-    return replace(config, **changes)

@@ -8,7 +8,6 @@ from privagg import (
     KeyDirectory,
     Network,
     RoundRunner,
-    SourceNode,
     Topology,
 )
 
@@ -23,6 +22,40 @@ def complete_topology(n, server_links=(1,)):
     return Topology(n, edges, frozenset(server_links))
 
 
+def reaches_server(topology, source_id):
+    """True when the source has some path to the server."""
+    seen = {source_id}
+    frontier = [source_id]
+    while frontier:
+        node = frontier.pop()
+        if node in topology.aggregator_links:
+            return True
+        for peer in topology.neighbors(node):
+            if peer not in seen:
+                seen.add(peer)
+                frontier.append(peer)
+    return False
+
+
+def check_invariants(topology):
+    for s in topology.sources():
+        if not topology.neighbors(s) and s not in topology.aggregator_links:
+            raise ValueError(f"source {s} has no neighbor and no server link")
+        if not reaches_server(topology, s):
+            raise ValueError(f"source {s} cannot reach the server")
+
+
+def build_network(topology, seed=0, total_keys=20, source_source_keys=8):
+    """A network over ``topology`` with every source provisioned."""
+    config = KeyBankConfig(total_keys, source_source_keys)
+    bank = KeyBank.generate(config, random.Random(f"{seed}:bank"))
+    directory = KeyDirectory(config, bank)
+    provision_rng = random.Random(f"{seed}:provision")
+    for sid in topology.sources():
+        directory.provision_source(sid, provision_rng)
+    return Network(topology, directory)
+
+
 def build_round(
     topology,
     values,
@@ -34,25 +67,10 @@ def build_round(
     **runner_kwargs,
 ):
     """Wire up directory, network, and a ready-to-run RoundRunner."""
-    config = KeyBankConfig(total_keys, source_source_keys)
-    bank = KeyBank.generate(config, random.Random(f"{seed}:bank"))
-    directory = KeyDirectory(config, bank)
-    provision_rng = random.Random(f"{seed}:provision")
-    for sid in topology.sources():
-        directory.provision_source(sid, provision_rng)
-    network = Network(topology, directory)
-    nodes = {
-        sid: SourceNode(
-            node_id=sid,
-            value=values[sid - 1],
-            neighbors=topology.neighbors(sid),
-        )
-        for sid in topology.sources()
-    }
+    network = build_network(topology, seed, total_keys, source_source_keys)
     runner = RoundRunner(
         network=network,
-        directory=directory,
-        nodes=nodes,
+        values=values,
         modulus=modulus,
         mode=mode,
         rng=random.Random(f"{seed}:round"),

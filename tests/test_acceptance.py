@@ -8,6 +8,7 @@ import math
 import random
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 from privagg import (
     KeyBank,
@@ -28,7 +29,6 @@ from privagg import (
     probe_all_initiators,
     run_collusion_attack,
     run_scenario,
-    with_overrides,
 )
 from privagg.adversary import chain_hops
 from privagg.cpda import default_seeds
@@ -91,7 +91,7 @@ def test_criterion_2_masking_indistinguishability_exhaustive():
             r2_counts = [0] * m
             for r in range(m):
                 transcript = run_scenario(
-                    with_overrides(base, values=values, force_initial_mask=r)
+                    replace(base, values=values, force_initial_mask=r)
                 )
                 hops = chain_hops(transcript)
                 r1_counts[hops[1].inbound.message.payload] += 1
@@ -147,7 +147,7 @@ def test_criterion_4_server_probe_defense():
             o.defense_triggered and not o.disclosed for o in defended.values()
         ), "defense let a probe through"
         ablated = probe_all_initiators(
-            with_overrides(config, adversary="probe_ablation")
+            replace(config, adversary="probe_ablation")
         )
         assert {sid: o.disclosed[sid] for sid, o in ablated.items()} == {
             sid: values[sid - 1] for sid in range(1, 6)
@@ -291,7 +291,7 @@ def test_criterion_8_determinism():
         assert first.serialize() == second.serialize()
         base_initiator = first.results[0].initiator
         initiators = {
-            run_scenario(with_overrides(config, seed=123 + i)).results[0].initiator
+            run_scenario(replace(config, seed=123 + i)).results[0].initiator
             for i in range(1, 21)
         }
         assert any(i != base_initiator for i in initiators)

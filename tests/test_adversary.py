@@ -20,7 +20,6 @@ from privagg import (
     run_scenario,
     run_server_probe,
     semi_honest_view,
-    with_overrides,
 )
 from privagg import adversary
 from privagg.adversary import chain_hops, links_used
@@ -37,7 +36,7 @@ PATH_CHAIN = ScenarioConfig(
 
 
 def ordered_chain_transcript(mode="direct", seed=13, values=(3, 9, 14), modulus=32):
-    config = with_overrides(
+    config = replace(
         PATH_CHAIN, mode=mode, seed=seed, values=values, modulus=modulus
     )
     transcript = run_scenario(config)
@@ -70,7 +69,7 @@ def test_observed_values_uniform_over_initial_mask():
         second_counts = [0] * m
         for r in range(m):
             transcript = run_scenario(
-                with_overrides(
+                replace(
                     PATH_CHAIN,
                     modulus=m,
                     values=values,
@@ -140,7 +139,7 @@ def test_single_node_view_consistent_with_every_candidate_input():
 
 
 def test_server_probe_defense_blocks_disclosure():
-    config = with_overrides(PATH_CHAIN, adversary="probe")
+    config = replace(PATH_CHAIN, adversary="probe")
     outcome = run_server_probe(config)
     assert outcome.defense_triggered
     assert not outcome.success
@@ -148,7 +147,7 @@ def test_server_probe_defense_blocks_disclosure():
 
 
 def test_server_probe_ablation_discloses_initiator_value():
-    config = with_overrides(PATH_CHAIN, adversary="probe_ablation")
+    config = replace(PATH_CHAIN, adversary="probe_ablation")
     outcome = run_server_probe(config)
     assert outcome.success
     assert outcome.disclosed == {1: 3}
@@ -161,13 +160,12 @@ def test_server_probe_requires_probe_scenario():
 
 
 def test_server_probe_without_sum_raises(monkeypatch):
-    config = with_overrides(PATH_CHAIN, adversary="probe_ablation")
+    config = replace(PATH_CHAIN, adversary="probe_ablation")
     transcript = run_scenario(config)
-    transcript.results[-1] = replace(
-        transcript.result, outcome=RoundOutcome.ABORTED, total=None
-    )
+    transcript.results[-1] = replace(transcript.result, total=None)
+    assert transcript.result.outcome is RoundOutcome.SUM
     monkeypatch.setattr(adversary, "run_scenario", lambda _config: transcript)
-    with pytest.raises(ProtocolError, match="aborted"):
+    with pytest.raises(ProtocolError, match="without a sum"):
         run_server_probe(config)
 
 
@@ -183,7 +181,7 @@ def test_probe_sweep_all_initiators():
     with_defense = probe_all_initiators(config)
     assert len(with_defense) == 5
     assert all(o.defense_triggered and not o.disclosed for o in with_defense.values())
-    ablated = probe_all_initiators(with_overrides(config, adversary="probe_ablation"))
+    ablated = probe_all_initiators(replace(config, adversary="probe_ablation"))
     assert {sid: o.disclosed[sid] for sid, o in ablated.items()} == {
         1: 11, 2: 22, 3: 33, 4: 44, 5: 55
     }

@@ -2,7 +2,8 @@
 
 import pytest
 
-from privagg.cli import ATTACK_CSV_HEADER, main, parse_config_text
+from privagg import RoundOutcome
+from privagg.cli import _EXIT_BY_OUTCOME, ATTACK_CSV_HEADER, main, parse_config_text
 from privagg.simnet import ConfigError
 
 THREE_NODE_CONFIG = """\
@@ -78,6 +79,18 @@ def test_run_malformed_config_names_field(tmp_path, capsys):
     assert "'values'" in capsys.readouterr().err
 
 
+def test_run_malformed_probability_names_field(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_text(THREE_NODE_CONFIG.replace("p = 1.0", "p = abc"))
+    code = main(["run", "--config", str(path), "--out", str(tmp_path / "t.log")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("config error: field 'p': ")
+
+
+def test_exit_codes_cover_every_outcome():
+    assert set(_EXIT_BY_OUTCOME) == set(RoundOutcome)
+
+
 def test_run_seed_override_changes_transcript(tmp_path, config_path):
     out_a = tmp_path / "a.log"
     out_b = tmp_path / "b.log"
@@ -135,6 +148,13 @@ def test_attack_link_full_probability_rows(config_path, capsys):
     for line in lines[1:]:
         fields = line.split(",")
         assert fields[2] == fields[3]
+
+
+@pytest.mark.parametrize("model", ["link:xyz", "collusion:x"])
+def test_attack_malformed_model_parameter_names_field(config_path, capsys, model):
+    code = main(["attack", "--config", config_path, "--model", model])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("config error: field 'adversary': ")
 
 
 def test_attack_requires_model(config_path, capsys):

@@ -4,17 +4,20 @@ import itertools
 import random
 
 import pytest
+from helpers import build_network, complete_topology
 
 from privagg import (
     KeyBank,
     KeyBankConfig,
     KeyDirectory,
     Permutation,
+    RoundRunner,
     pairwise_key_value,
 )
 from privagg.keying import (
     ConfigMismatchError,
     IndexRangeError,
+    KeyingError,
     PairEstablishmentError,
     UnknownSourceError,
 )
@@ -243,6 +246,29 @@ def test_sessions_dropped_between_rounds():
     directory.begin_round(2)
     assert not directory.keyring(1).pair_sessions
     assert directory.keyring(1).aggregator_session is None
+
+
+def test_holders_keep_only_the_current_round():
+    network = build_network(complete_topology(4), seed=16)
+    for round_no in range(1, 4):
+        RoundRunner(
+            network,
+            (1, 2, 3, 4),
+            64,
+            rng=random.Random(f"round:{round_no}"),
+            keying_rng=random.Random(f"keying:{round_no}"),
+        ).run()
+    directory = network.directory
+    for old in ("agg:c1:r1", "agg:c1:r2"):
+        with pytest.raises(KeyingError):
+            directory.holders(old)
+    assert directory.holders("agg:c1:r3") == frozenset({0, 1})
+    current = {
+        e.message.key_id
+        for e in network.events
+        if e.round_no == 3 and e.message.key_id is not None
+    }
+    assert set(directory._holders) == current
 
 
 def test_pairwise_key_value_reads_composed_slot():

@@ -72,7 +72,7 @@ def test_initial_mask_never_transmitted():
 
 def test_server_select_next_uniform():
     runner, _ = build_round(complete_topology(3), (1, 1, 1), 16)
-    runner.agg.participated = {1}
+    runner.participated = {1}
     counts = Counter()
     for seed in range(4000):
         runner.rng = random.Random(seed)
@@ -83,9 +83,9 @@ def test_server_select_next_uniform():
 
 def test_server_select_next_exhausted_and_no_repeats():
     runner, _ = build_round(complete_topology(3), (1, 1, 1), 16)
-    runner.agg.participated = {2, 3}
+    runner.participated = {2, 3}
     assert runner.server_select_next((2, 3)) is None
-    runner.agg.participated = {2}
+    runner.participated = {2}
     for seed in range(50):
         runner.rng = random.Random(seed)
         assert runner.server_select_next((2, 3)) == 3
@@ -161,7 +161,7 @@ def test_relay_jump_completes_sparse_topology():
 
 def test_relay_jump_choice_requires_candidates():
     runner, _ = build_round(complete_topology(2), (1, 2), 16)
-    runner.agg.participated = {1, 2}
+    runner.participated = {1, 2}
     with pytest.raises(ProtocolError):
         runner.server_relay_jump_choice()
 
@@ -225,6 +225,11 @@ def test_participation_guard_rejects_double_entry():
 def test_mode_validation():
     with pytest.raises(ValueError):
         build_round(path_topology(2), (1, 2), 16, mode="broadcast")
+
+
+def test_one_value_per_source_required():
+    with pytest.raises(ProtocolError, match="expected 3 values, got 2"):
+        build_round(path_topology(3), (1, 2), 16)
 
 
 def test_only_index_announcements_are_plaintext():

@@ -1,9 +1,10 @@
 """Topology generation, delivery semantics, transcripts, scenario runs."""
 
 import random
+from collections import Counter
 
 import pytest
-from helpers import build_round, complete_topology, path_topology
+from helpers import build_round, check_invariants, complete_topology, path_topology
 
 from privagg import (
     ConfigError,
@@ -18,6 +19,7 @@ from privagg import (
     run_scenario,
 )
 from privagg.keying import SERVER
+from privagg.protocol import MODES
 
 
 def test_full_density_gives_complete_graph():
@@ -49,7 +51,7 @@ def test_topology_invariants_over_many_seeds():
         n = rng.randint(1, 12)
         p = rng.random()
         topo = generate_topology(n, p, rng)
-        topo.check_invariants()
+        check_invariants(topo)
         assert topo.aggregator_links  # server linked to at least one source
 
 
@@ -216,3 +218,40 @@ def test_round_events_matches_linear_scan():
     assert sum(len(transcript.round_events(r)) for r in range(1, 6)) == len(
         transcript.events
     )
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_message_counts_match_closed_form(mode):
+    """Per round: n index announcements, the initiation and its report, one
+    directive plus one report per hop, 5 pairwise-setup messages and one
+    forward per direct hop or 2 relay messages per jump, and 4 to finish."""
+    n = 30
+    mixed = False
+    for seed in range(5):
+        for adversary in ("none", "probe"):
+            transcript = run_scenario(
+                ScenarioConfig(
+                    n_sources=n,
+                    modulus=2**20,
+                    value_range=(0, 99),
+                    edge_prob=0.1,
+                    seed=seed,
+                    mode=mode,
+                    adversary=adversary,
+                    rounds=3,
+                )
+            )
+            for round_no in range(1, 4):
+                events = transcript.round_events(round_no)
+                if adversary == "probe":
+                    assert len(events) == n + 6
+                    continue
+                kinds = Counter(e.message.kind for e in events)
+                d = kinds[MessageKind.MASKED_FORWARD]
+                j = kinds[MessageKind.RELAY_UP]
+                assert d + j == n - 1
+                assert len(events) == 2 * n + 5 + 7 * d + 3 * j
+                if mode == "strict-relay":
+                    assert len(events) == 5 * n + 2
+                mixed = mixed or (d > 0 and j > 0)
+    assert mixed == (mode == "direct")
