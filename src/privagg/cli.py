@@ -195,6 +195,8 @@ def cmd_attack(args: argparse.Namespace) -> int:
         if not param:
             raise ConfigError("adversary", "link model needs a probability: link:B")
         b = _parse_number("adversary", param, float)
+        if not 0.0 <= b <= 1.0:  # also rejects NaN
+            raise ConfigError("adversary", f"link probability {param!r} not in [0, 1]")
         transcript = run_scenario(replace(config, adversary="none"))
         truth = scenario_values(config, len(transcript.results))
         rng = random.Random(f"{config.seed}:attack:link")
@@ -229,11 +231,11 @@ def cmd_curve(args: argparse.Namespace) -> int:
 def _parse_sizes(raw: str) -> list[int]:
     if ".." in raw:
         lo_raw, _, hi_raw = raw.partition("..")
-        lo, hi = int(lo_raw), int(hi_raw)
+        lo, hi = _parse_number("sizes", lo_raw), _parse_number("sizes", hi_raw)
         if lo > hi:
-            raise ValueError(f"bad size range {raw!r}")
+            raise ConfigError("sizes", f"bad size range {raw!r}")
         return list(range(lo, hi + 1))
-    return [int(v) for v in raw.split(",")]
+    return [_parse_number("sizes", v) for v in raw.split(",")]
 
 
 def cmd_bench(args: argparse.Namespace) -> int:

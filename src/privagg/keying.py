@@ -145,7 +145,7 @@ class Permutation:
         return tuple(items[i] for i in self.order)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SessionKey:
     """A key agreed for one aggregation round, scoped to its two endpoints."""
 

@@ -80,7 +80,7 @@ def node_label(node_id: int) -> str:
     return "server" if node_id == SERVER else f"c{node_id}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Message:
     """One typed protocol message; ``key_id`` None means plaintext."""
 
@@ -97,7 +97,8 @@ class Message:
         if kind is MessageKind.KEY_INDEX_ANNOUNCE:
             return f"index={self.payload}"
         if kind is MessageKind.NEIGHBOR_REPORT:
-            return "neighbors=" + "|".join(node_label(n) for n in self.payload)
+            # A report names sources only, so each label is node_label's "c<id>".
+            return "neighbors=" + "|".join([f"c{n}" for n in self.payload])
         if kind is MessageKind.NEXT_HOP_DIRECTIVE:
             return f"next={node_label(self.payload)}"
         if kind is MessageKind.SUM_REPORT:
@@ -226,7 +227,7 @@ class RoundRunner:
         """Record the node as the next contributor; it reports its neighborhood."""
         self.participated.add(node_id)
         self.visitation.append(node_id)
-        report = tuple(sorted(self.network.topology.neighbors(node_id)))
+        report = self.network.topology.sorted_neighbors(node_id)
         self._send(
             MessageKind.NEIGHBOR_REPORT,
             node_id,
@@ -254,9 +255,11 @@ class RoundRunner:
     def server_select_next(self, reported: tuple[int, ...]) -> int | None:
         """Uniform choice among reported neighbors not yet participated.
 
-        Returns None when the reported neighborhood is exhausted.
+        ``reported`` is the sorted report that ``_join_chain`` sends, so the
+        filtered list is already in ascending order.  Returns None when the
+        reported neighborhood is exhausted.
         """
-        candidates = sorted(set(reported) - self.participated)
+        candidates = [s for s in reported if s not in self.participated]
         if not candidates:
             return None
         return self.rng.choice(candidates)

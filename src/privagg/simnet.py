@@ -19,7 +19,6 @@ import random
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from itertools import repeat
 from operator import attrgetter
 
 from .keying import SERVER, KeyBank, KeyBankConfig, KeyDirectory
@@ -45,7 +44,13 @@ class ConfigError(SimError):
 
 
 class Topology:
-    """Undirected source graph plus the set of direct server links."""
+    """Undirected source graph plus the set of direct server links.
+
+    The graph is held once, as one sorted tuple of neighbours per source
+    (``_peers[sid]``).  ``edges`` is derived from it in O(n + m) on each
+    access, and ``neighbors`` builds a frozenset on each call; the hot paths
+    use ``sorted_neighbors`` and ``has_edge``.
+    """
 
     def __init__(
         self,
@@ -63,12 +68,7 @@ class Topology:
                 raise ValueError(f"bad edge ({a}, {b})")
             adjacency[a].add(b)
             adjacency[b].add(a)
-        self._adjacency = {i: frozenset(adjacency[i]) for i in self.sources()}
-        edge_list: list[tuple[int, int]] = []
-        for a in self.sources():
-            peers = sorted(adjacency[a])
-            edge_list.extend(zip(repeat(a), peers[bisect_right(peers, a) :]))
-        self.edges = tuple(edge_list)
+        self._peers = {sid: tuple(sorted(adjacency[sid])) for sid in self.sources()}
         self._link_server(aggregator_links, augmented_links)
 
     def _link_server(self, links: Iterable[int], augmented: Iterable[int]) -> None:
@@ -84,18 +84,33 @@ class Topology:
     def principals(self) -> frozenset[int]:
         return frozenset(self.sources()) | {SERVER}
 
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Every edge once as ``(a, b)`` with ``a < b``, in ascending order."""
+        return tuple(
+            (a, b)
+            for a, peers in self._peers.items()
+            for b in peers[bisect_right(peers, a) :]
+        )
+
     def neighbors(self, source_id: int) -> frozenset[int]:
-        return self._adjacency[source_id]
+        return frozenset(self._peers[source_id])
+
+    def sorted_neighbors(self, source_id: int) -> tuple[int, ...]:
+        """The source's neighbours in ascending order."""
+        return self._peers[source_id]
 
     def has_edge(self, a: int, b: int) -> bool:
-        return b in self._adjacency.get(a, frozenset())
+        peers = self._peers.get(a, ())
+        i = bisect_left(peers, b)
+        return i < len(peers) and peers[i] == b
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Topology):
             return NotImplemented
         return (
             self.n_sources == other.n_sources
-            and self.edges == other.edges
+            and self._peers == other._peers
             and self.aggregator_links == other.aggregator_links
         )
 
@@ -135,7 +150,7 @@ def generate_topology(n: int, p: float, rng: random.Random) -> Topology:
         seen[start] = True
         component = [start]
         for node in component:
-            for peer in topology.neighbors(node):
+            for peer in topology.sorted_neighbors(node):
                 if not seen[peer]:
                     seen[peer] = True
                     component.append(peer)
@@ -144,7 +159,7 @@ def generate_topology(n: int, p: float, rng: random.Random) -> Topology:
     return topology
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEvent:
     """One delivered message with the principals able to read it."""
 

@@ -157,6 +157,13 @@ def test_attack_malformed_model_parameter_names_field(config_path, capsys, model
     assert capsys.readouterr().err.startswith("config error: field 'adversary': ")
 
 
+@pytest.mark.parametrize("model", ["link:2", "link:-0.1", "link:nan"])
+def test_attack_link_probability_out_of_range_names_field(config_path, capsys, model):
+    code = main(["attack", "--config", config_path, "--model", model])
+    assert code == 1
+    assert "'adversary'" in capsys.readouterr().err
+
+
 def test_attack_requires_model(config_path, capsys):
     code = main(["attack", "--config", config_path])
     assert code == 1
@@ -231,3 +238,9 @@ def test_bench_out_file(tmp_path, capsys):
     )
     assert code == 0
     assert out.read_text().startswith("scheme,n_nodes,op_count")
+
+
+@pytest.mark.parametrize("sizes", ["abc", "1..x", "5..3"])
+def test_bench_malformed_sizes_names_field(sizes, capsys):
+    assert main(["bench", "--sizes", sizes, "--repetitions", "1"]) == 1
+    assert capsys.readouterr().err.startswith("config error: field 'sizes': ")

@@ -3,6 +3,8 @@
 The digests were computed before topology construction was rewritten, so a
 change to the random draws, their order, or the transcript format shows up
 here as a mismatch rather than as a silent change of every seeded result.
+The CLI digests pin the ``attack`` and ``curve`` CSVs the same way; the
+attacks read trace events, so they also pin the event records.
 """
 
 import hashlib
@@ -11,6 +13,7 @@ import random
 import pytest
 
 from privagg import ScenarioConfig, Topology, generate_topology, run_scenario
+from privagg.cli import main
 
 TOPOLOGY_GOLDENS = {
     (1, 0.0, 0): "ca2dd1ed49f76379a81e20fb1b8b56356eba71831161c38132d2601a98ee354d",
@@ -140,6 +143,23 @@ TRANSCRIPT_GOLDENS = {
         "61b75d699b2044b06c8d236ccdfe114ec26350dbe6d6a400b05f63b76ceaa72b",
 }
 
+CLI_CONFIG = """\
+n_sources = 50
+modulus = 4294967296
+values = 0..999
+p = 0.3
+seed = 7
+"""
+
+CLI_GOLDENS = {
+    ("attack", "collusion"):
+        "6c5236a7d842e2d3d1e6f1146c17829c01a0e931dead63f5b8a2c30cf730e50c",
+    ("attack", "link:0.5"):
+        "0cadf05ee36ca6a6e0f3fa73ea73a6632a0e9e53bcb1952ba3a85389c2e23f70",
+    ("curve", "2000"):
+        "61969861bdc6e1f03192bde7f5455a2e1cd17c873ae97ce0e88ebc77d16b8e04",
+}
+
 
 def _sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
@@ -170,6 +190,18 @@ def test_transcript_golden(mode, adversary, rounds, values):
     )
     digest = _sha256(run_scenario(config).serialize())
     assert digest == TRANSCRIPT_GOLDENS[(mode, adversary, rounds, values)]
+
+
+@pytest.mark.parametrize("command, arg", sorted(CLI_GOLDENS))
+def test_cli_csv_golden(command, arg, tmp_path, capsys):
+    if command == "attack":
+        config = tmp_path / "scenario.cfg"
+        config.write_text(CLI_CONFIG)
+        argv = ["attack", "--config", str(config), "--model", arg]
+    else:
+        argv = ["curve", "--trials", arg]
+    assert main(argv) == 0
+    assert _sha256(capsys.readouterr().out) == CLI_GOLDENS[(command, arg)]
 
 
 def test_topology_edges_canonical_sorted_and_deduplicated():

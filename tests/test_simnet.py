@@ -1,5 +1,6 @@
 """Topology generation, delivery semantics, transcripts, scenario runs."""
 
+import dataclasses
 import random
 from collections import Counter
 
@@ -14,7 +15,9 @@ from privagg import (
     NoLinkError,
     RoundOutcome,
     ScenarioConfig,
+    SessionKey,
     Topology,
+    TraceEvent,
     generate_topology,
     run_scenario,
 )
@@ -62,6 +65,48 @@ def test_invalid_topology_arguments():
         generate_topology(3, 1.5, random.Random(0))
     with pytest.raises(ValueError):
         Topology(2, ((1, 3),), frozenset({1}))
+
+
+@pytest.mark.parametrize("n", [1, 8, 200])
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+def test_topology_queries_agree_with_neighbor_sets(n, p):
+    topo = generate_topology(n, p, random.Random(n))
+    for a in range(-1, n + 2):
+        peers = frozenset()
+        if 1 <= a <= n:
+            peers = topo.neighbors(a)
+            assert topo.sorted_neighbors(a) == tuple(sorted(peers))
+        for b in range(-1, n + 2):
+            assert topo.has_edge(a, b) == (b in peers)
+
+
+def test_topology_equality_ignores_edge_order_and_duplicates():
+    edges = [(1, 2), (2, 3), (1, 4)]
+    first = Topology(4, edges, frozenset({1}))
+    second = Topology(4, [(4, 1), (3, 2), (2, 1), (1, 2), (3, 2)], frozenset({1}))
+    assert first == second
+    assert first.edges == second.edges == ((1, 2), (1, 4), (2, 3))
+    assert first != Topology(4, edges[:2], frozenset({1}))
+
+
+_MESSAGE = Message(MessageKind.SUM_REPORT, 1, SERVER, 5, "agg:c1:r1")
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        _MESSAGE,
+        TraceEvent(step=0, round_no=1, message=_MESSAGE, readable_by=frozenset({1})),
+        SessionKey(value=7, key_id="agg:c1:r1", scope=frozenset({1, SERVER})),
+    ],
+    ids=["Message", "TraceEvent", "SessionKey"],
+)
+def test_records_are_frozen_and_slotted(record):
+    first_field = dataclasses.fields(record)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(record, first_field, None)
+    assert not hasattr(record, "__dict__")
+    assert dataclasses.replace(record) == record
 
 
 def test_plaintext_delivery_readable_by_everyone():
