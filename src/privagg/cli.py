@@ -241,7 +241,7 @@ def _parse_sizes(raw: str) -> list[int]:
 def cmd_bench(args: argparse.Namespace) -> int:
     sizes = _parse_sizes(args.sizes)
     if args.repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
+        raise ConfigError("repetitions", "must be >= 1")
     schemes = ["ours", "cpda"] if args.scheme == "both" else [args.scheme]
     results = []
     for scheme in schemes:
@@ -252,7 +252,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 benchmark_kernel(scheme, n, args.repetitions, seed=args.seed)
             )
     if not results:
-        raise ValueError("no benchmark sizes in the supported range")
+        raise ConfigError("sizes", "no benchmark sizes in the supported range")
     _write_output(bench_csv(results), args.out)
     return 0
 

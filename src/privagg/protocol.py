@@ -27,6 +27,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
+from itertools import filterfalse
 from typing import TYPE_CHECKING
 
 from .keying import SERVER, Permutation
@@ -80,6 +81,18 @@ def node_label(node_id: int) -> str:
     return "server" if node_id == SERVER else f"c{node_id}"
 
 
+class NodeLabels(dict):
+    """``node_label`` by node id, each label formatted on first lookup.
+
+    One rendering pass builds one table and drops it when it is done, so
+    no label outlives the pass.
+    """
+
+    def __missing__(self, node_id: int) -> str:
+        label = self[node_id] = node_label(node_id)
+        return label
+
+
 @dataclass(frozen=True, slots=True)
 class Message:
     """One typed protocol message; ``key_id`` None means plaintext."""
@@ -90,15 +103,18 @@ class Message:
     payload: object = None
     key_id: str | None = None
 
-    def payload_summary(self) -> str:
+    def payload_summary(self, labels: NodeLabels | None = None) -> str:
+        """Payload as logged; ``labels`` lets a caller rendering many
+        messages share one label table."""
         kind = self.kind
         if kind in MASKED_VALUE_KINDS:
             return f"masked={self.payload}"
         if kind is MessageKind.KEY_INDEX_ANNOUNCE:
             return f"index={self.payload}"
         if kind is MessageKind.NEIGHBOR_REPORT:
-            # A report names sources only, so each label is node_label's "c<id>".
-            return "neighbors=" + "|".join([f"c{n}" for n in self.payload])
+            if labels is None:
+                labels = NodeLabels()
+            return "neighbors=" + "|".join(map(labels.__getitem__, self.payload))
         if kind is MessageKind.NEXT_HOP_DIRECTIVE:
             return f"next={node_label(self.payload)}"
         if kind is MessageKind.SUM_REPORT:
@@ -259,14 +275,14 @@ class RoundRunner:
         filtered list is already in ascending order.  Returns None when the
         reported neighborhood is exhausted.
         """
-        candidates = [s for s in reported if s not in self.participated]
+        candidates = list(filterfalse(self.participated.__contains__, reported))
         if not candidates:
             return None
         return self.rng.choice(candidates)
 
     def server_relay_jump_choice(self) -> int:
         """Uniform choice among all sources not yet participated."""
-        candidates = [s for s in self.sources if s not in self.participated]
+        candidates = list(filterfalse(self.participated.__contains__, self.sources))
         if not candidates:
             raise ProtocolError("relay jump requested but every source participated")
         return self.rng.choice(candidates)

@@ -19,10 +19,18 @@ import random
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from itertools import compress, repeat, starmap
 from operator import attrgetter
 
 from .keying import SERVER, KeyBank, KeyBankConfig, KeyDirectory
-from .protocol import MODES, Message, RoundResult, RoundRunner, node_label
+from .protocol import (
+    MODES,
+    Message,
+    NodeLabels,
+    RoundResult,
+    RoundRunner,
+    node_label,
+)
 
 ADVERSARY_KINDS = ("none", "probe", "probe_ablation", "collusion", "link")
 
@@ -61,21 +69,34 @@ class Topology:
     ) -> None:
         if n_sources < 1:
             raise ValueError("topology needs at least one source")
-        self.n_sources = n_sources
         adjacency: list[set[int]] = [set() for _ in range(n_sources + 1)]
         for a, b in edges:
             if a == b or not (1 <= a <= n_sources and 1 <= b <= n_sources):
                 raise ValueError(f"bad edge ({a}, {b})")
             adjacency[a].add(b)
             adjacency[b].add(a)
-        self._peers = {sid: tuple(sorted(adjacency[sid])) for sid in self.sources()}
-        self._link_server(aggregator_links, augmented_links)
+        self._install(
+            n_sources,
+            {sid: tuple(sorted(adjacency[sid])) for sid in range(1, n_sources + 1)},
+            aggregator_links,
+            augmented_links,
+        )
 
-    def _link_server(self, links: Iterable[int], augmented: Iterable[int]) -> None:
+    def _install(
+        self,
+        n_sources: int,
+        peers: dict[int, tuple[int, ...]],
+        links: Iterable[int],
+        augmented: Iterable[int],
+    ) -> None:
+        """Store the sorted adjacency and link the server; the one place the
+        layout is set, for the constructor and for ``generate_topology``."""
+        self.n_sources = n_sources
+        self._peers = peers
         self.aggregator_links = frozenset(links)
         self.augmented_links = tuple(augmented)
         for s in self.aggregator_links:
-            if not 1 <= s <= self.n_sources:
+            if not 1 <= s <= n_sources:
                 raise ValueError(f"bad aggregator link to {s}")
 
     def sources(self) -> range:
@@ -128,34 +149,51 @@ def generate_topology(n: int, p: float, rng: random.Random) -> Topology:
 
     It makes one ``rng.random()`` draw per pair ``a < b`` (O(n²) draws, in
     row order), then one ``rng.choice`` per component, components taken in
-    order of their smallest member.  Everything around the draws is
-    O(n + m) for m edges.  The draw order is part of the transcript
+    order of their smallest member.  The draw order is part of the transcript
     contract: changing it changes every seeded transcript.
+
+    The draws and their comparison with ``p`` run at C level, one row at a
+    time, with the same draws in the same order as a per-pair loop, so the
+    contract is unchanged.  Row ``a`` yields ``a``'s sorted upper
+    neighbours and ``a`` joins the lower list of each, so ``lower + upper``
+    is already ``a``'s sorted adjacency.  Everything around the draws is
+    O(n + m) for m edges.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 0.0 <= p <= 1.0:
         raise ValueError("edge probability must be in [0, 1]")
+    # float(): int.__gt__(float) is NotImplemented, which is truthy.
+    linked = float(p).__gt__
     draw = rng.random
-    topology = Topology(
-        n,
-        [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1) if draw() < p],
-        frozenset(),
-    )
+    ids = list(range(n + 1))  # one int object per id, shared by every row
+    lower: list[list[int]] = [[] for _ in ids]
+    peers: dict[int, tuple[int, ...]] = {}
+    for a in range(1, n + 1):
+        upper = list(
+            compress(ids[a + 1 :], map(linked, starmap(draw, repeat((), n - a))))
+        )
+        for b in upper:
+            lower[b].append(a)
+        row = lower[a]
+        row += upper
+        peers[a] = tuple(row)
+        row.clear()  # no later row appends to it; halves the peak memory
     seen = [False] * (n + 1)
     augmented = []
-    for start in topology.sources():
+    for start in range(1, n + 1):
         if seen[start]:
             continue
         seen[start] = True
         component = [start]
         for node in component:
-            for peer in topology.sorted_neighbors(node):
+            for peer in peers[node]:
                 if not seen[peer]:
                     seen[peer] = True
                     component.append(peer)
         augmented.append(rng.choice(sorted(component)))
-    topology._link_server(augmented, augmented)
+    topology = Topology.__new__(Topology)
+    topology._install(n, peers, augmented, augmented)
     return topology
 
 
@@ -168,7 +206,7 @@ class TraceEvent:
     message: Message
     readable_by: frozenset[int]
 
-    def line(self) -> str:
+    def line(self, labels: NodeLabels | None = None) -> str:
         msg = self.message
         key = msg.key_id if msg.key_id is not None else "PLAIN"
         return "\t".join(
@@ -178,7 +216,7 @@ class TraceEvent:
                 node_label(msg.receiver),
                 msg.kind.value,
                 key,
-                msg.payload_summary(),
+                msg.payload_summary(labels),
             )
         )
 
@@ -205,8 +243,12 @@ class Transcript:
         return self.events[lo:hi]
 
     def serialize(self) -> str:
-        """Line log: step, sender, receiver, variant, key id or PLAIN, payload."""
-        return "".join(e.line() + "\n" for e in self.events)
+        """Line log: step, sender, receiver, variant, key id or PLAIN, payload.
+
+        Neighbour-report labels come from one table built for this call
+        and dropped after it."""
+        labels = NodeLabels()
+        return "".join(e.line(labels) + "\n" for e in self.events)
 
     def write(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -228,6 +228,12 @@ def test_bench_cluster_counts_increase(capsys):
 
 def test_bench_zero_repetitions_rejected(capsys):
     assert main(["bench", "--repetitions", "0"]) == 1
+    assert capsys.readouterr().err.startswith("config error: field 'repetitions': ")
+
+
+def test_bench_no_supported_size_names_field(capsys):
+    assert main(["bench", "--scheme", "cpda", "--sizes", "1000"]) == 1
+    assert capsys.readouterr().err.startswith("config error: field 'sizes': ")
 
 
 def test_bench_out_file(tmp_path, capsys):

@@ -4,7 +4,9 @@ The digests were computed before topology construction was rewritten, so a
 change to the random draws, their order, or the transcript format shows up
 here as a mismatch rather than as a silent change of every seeded result.
 The CLI digests pin the ``attack`` and ``curve`` CSVs the same way; the
-attacks read trace events, so they also pin the event records.
+attacks read trace events, so they also pin the event records.  The
+``bench`` digest covers only its ``scheme,n_nodes,op_count`` columns, since
+the wall times differ from run to run.
 """
 
 import hashlib
@@ -156,9 +158,16 @@ CLI_GOLDENS = {
         "6c5236a7d842e2d3d1e6f1146c17829c01a0e931dead63f5b8a2c30cf730e50c",
     ("attack", "link:0.5"):
         "0cadf05ee36ca6a6e0f3fa73ea73a6632a0e9e53bcb1952ba3a85389c2e23f70",
+    ("attack", "probe"):
+        "d0917c3a626970985745c0b9a975753a755e01e5c25b288c89ac554c196af0b1",
+    ("attack", "probe_ablation"):
+        "5f41656b1ec3a203100c8e159680443a81c136019bf28f69d71341ca4f29e899",
     ("curve", "2000"):
         "61969861bdc6e1f03192bde7f5455a2e1cd17c873ae97ce0e88ebc77d16b8e04",
 }
+
+# ``privagg bench --sizes 1..12 --repetitions 3``, first three columns.
+BENCH_OP_COUNT_GOLDEN = "eaec9880189789082f3d0ca02c3903292dcde6131c117b8ac51c0c41ed3d3c83"
 
 
 def _sha256(text):
@@ -202,6 +211,35 @@ def test_cli_csv_golden(command, arg, tmp_path, capsys):
         argv = ["curve", "--trials", arg]
     assert main(argv) == 0
     assert _sha256(capsys.readouterr().out) == CLI_GOLDENS[(command, arg)]
+
+
+def test_bench_op_count_golden(capsys):
+    assert main(["bench", "--sizes", "1..12", "--repetitions", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    columns = "\n".join(",".join(line.split(",")[:3]) for line in lines)
+    assert _sha256(columns) == BENCH_OP_COUNT_GOLDEN
+
+
+@pytest.mark.parametrize("n, p", sorted({(n, p) for n, p, _ in TOPOLOGY_GOLDENS}))
+def test_generated_topology_matches_constructor(n, p):
+    """The generator's adjacency equals the validated constructor's."""
+    for seed in range(3):
+        topo = generate_topology(n, p, random.Random(seed))
+        reference = Topology(
+            n, topo.edges, topo.aggregator_links, topo.augmented_links
+        )
+        assert topo == reference
+        for sid in topo.sources():
+            peers = topo.sorted_neighbors(sid)
+            assert all(a < b for a, b in zip(peers, peers[1:]))
+
+
+@pytest.mark.parametrize("p", [0, 1])
+def test_integer_edge_probability_matches_float(p):
+    for seed in range(3):
+        assert generate_topology(30, p, random.Random(seed)) == generate_topology(
+            30, float(p), random.Random(seed)
+        )
 
 
 def test_topology_edges_canonical_sorted_and_deduplicated():

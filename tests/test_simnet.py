@@ -216,6 +216,55 @@ def test_serialized_line_format():
         assert fields[4] == "PLAIN" or ":" in fields[4]
 
 
+def _reference_line(event):
+    """One trace line rendered on its own, with an f-string per label."""
+    msg = event.message
+
+    def label(node_id):
+        return "server" if node_id == SERVER else f"c{node_id}"
+
+    if msg.kind is MessageKind.NEIGHBOR_REPORT:
+        payload = "neighbors=" + "|".join(f"c{peer}" for peer in msg.payload)
+    else:
+        payload = msg.payload_summary()
+    return "\t".join(
+        (
+            str(event.step),
+            label(msg.sender),
+            label(msg.receiver),
+            msg.kind.value,
+            "PLAIN" if msg.key_id is None else msg.key_id,
+            payload,
+        )
+    )
+
+
+def test_isolated_source_reports_no_neighbors():
+    transcript = run_scenario(
+        ScenarioConfig(n_sources=3, modulus=64, values=(1, 2, 3), edge_prob=0.0)
+    )
+    reports = [
+        line
+        for line in transcript.serialize().splitlines()
+        if "\tNeighborReport\t" in line
+    ]
+    assert len(reports) == 3
+    assert all(line.endswith("\tneighbors=") for line in reports)
+
+
+def test_serialize_matches_per_event_reference_across_transcripts():
+    """Label tables are per call: a larger transcript rendered before or
+    after a smaller one leaves no trace in either."""
+    for n, p in ((3, 0.5), (300, 0.1), (3, 1.0)):
+        transcript = run_scenario(
+            ScenarioConfig(
+                n_sources=n, modulus=2**32, value_range=(0, 99), edge_prob=p, seed=n
+            )
+        )
+        expected = [_reference_line(event) for event in transcript.events]
+        assert transcript.serialize().splitlines() == expected
+
+
 def test_transcript_write(tmp_path):
     transcript = run_scenario(
         ScenarioConfig(n_sources=2, modulus=16, values=(3, 4), seed=2)
