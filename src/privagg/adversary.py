@@ -26,6 +26,7 @@ demonstrate that the check is what blocks it.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 from .keying import SERVER
@@ -84,6 +85,20 @@ def chain_hops(transcript: Transcript, round_index: int = -1) -> list[ChainHop]:
     ]
 
 
+def _recover(
+    hop: ChainHop, reads: Callable[[TraceEvent], bool], modulus: int
+) -> int | None:
+    """The hop node's value when ``reads`` holds for both its incident
+    events (their difference is the value), else None."""
+    if hop.inbound is None or hop.outbound is None:
+        return None
+    if not (reads(hop.inbound) and reads(hop.outbound)):
+        return None
+    return collusion_recover(
+        hop.outbound.message.payload, hop.inbound.message.payload, modulus
+    )
+
+
 def semi_honest_view(transcript: Transcript, nodes: set[int]) -> list[TraceEvent]:
     """Every trace event at least one of the given nodes can read.
 
@@ -121,19 +136,14 @@ def run_collusion_attack(transcript: Transcript, target: int) -> AttackOutcome:
             f"node {target} lacks a visitation predecessor or successor"
         )
     colluders = {order[position - 1], order[position + 1]}
-    hop = hops[position]
-    readable_in = hop.inbound is not None and bool(hop.inbound.readable_by & colluders)
-    readable_out = hop.outbound is not None and bool(
-        hop.outbound.readable_by & colluders
+    value = _recover(
+        hops[position],
+        lambda event: not colluders.isdisjoint(event.readable_by),
+        transcript.modulus,
     )
-    if readable_in and readable_out:
-        value = collusion_recover(
-            hop.outbound.message.payload,
-            hop.inbound.message.payload,
-            transcript.modulus,
-        )
-        return AttackOutcome(disclosed={target: value}, success=True)
-    return AttackOutcome(disclosed={}, success=False)
+    if value is None:
+        return AttackOutcome(disclosed={}, success=False)
+    return AttackOutcome(disclosed={target: value}, success=True)
 
 
 def run_server_probe(config: ScenarioConfig) -> AttackOutcome:
@@ -177,25 +187,6 @@ def links_used(transcript: Transcript, round_index: int = -1) -> list[tuple[int,
     return sorted({_event_link(e) for e in transcript.round_events(round_no)})
 
 
-def _disclosures_for_compromise(
-    hops: list[ChainHop], compromised: set[tuple[int, int]], modulus: int
-) -> dict[int, int]:
-    disclosed = {}
-    for hop in hops:
-        if hop.inbound is None or hop.outbound is None:
-            continue
-        if (
-            _event_link(hop.inbound) in compromised
-            and _event_link(hop.outbound) in compromised
-        ):
-            disclosed[hop.node] = collusion_recover(
-                hop.outbound.message.payload,
-                hop.inbound.message.payload,
-                modulus,
-            )
-    return disclosed
-
-
 def run_link_compromise(
     transcript: Transcript, b: float, rng: random.Random
 ) -> AttackOutcome:
@@ -209,7 +200,15 @@ def run_link_compromise(
         raise ValueError("link break probability must be in [0, 1]")
     hops = chain_hops(transcript)
     compromised = {link for link in links_used(transcript) if rng.random() < b}
-    disclosed = _disclosures_for_compromise(hops, compromised, transcript.modulus)
+
+    def broken(event: TraceEvent) -> bool:
+        return _event_link(event) in compromised
+
+    disclosed = {}
+    for hop in hops:
+        value = _recover(hop, broken, transcript.modulus)
+        if value is not None:
+            disclosed[hop.node] = value
     return AttackOutcome(disclosed=disclosed, success=bool(disclosed))
 
 

@@ -104,7 +104,7 @@ class CurvePoint:
 
 def probability_grid(start: float, stop: float, step: float) -> list[float]:
     """Inclusive grid of b values; endpoints must stay within [0, 1]."""
-    if step <= 0:
+    if not step > 0:  # also rejects NaN
         raise ModelError("grid step must be positive")
     if not (0.0 <= start <= stop <= 1.0):
         raise ModelError("grid endpoints must satisfy 0 <= start <= stop <= 1")

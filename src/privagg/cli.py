@@ -62,11 +62,14 @@ def _parse_number(key: str, raw: str, kind: type = int):
         raise ConfigError(key, f"expected {noun}, got {raw!r}") from None
 
 
-def _parse_values(raw: str) -> tuple[tuple[int, ...] | None, tuple[int, int] | None]:
+def _parse_ints(
+    key: str, raw: str
+) -> tuple[tuple[int, ...] | None, tuple[int, int] | None]:
+    """A comma list, or the bounds of an inclusive ``lo..hi`` range."""
     if ".." in raw:
         lo_raw, _, hi_raw = raw.partition("..")
-        return None, (_parse_number("values", lo_raw), _parse_number("values", hi_raw))
-    return tuple(_parse_number("values", v) for v in raw.split(",")), None
+        return None, (_parse_number(key, lo_raw), _parse_number(key, hi_raw))
+    return tuple(_parse_number(key, v) for v in raw.split(",")), None
 
 
 def parse_config_text(text: str) -> ScenarioConfig:
@@ -88,7 +91,7 @@ def parse_config_text(text: str) -> ScenarioConfig:
     for required in ("n_sources", "modulus", "values"):
         if required not in entries:
             raise ConfigError(required, "required key missing")
-    values, value_range = _parse_values(entries["values"])
+    values, value_range = _parse_ints("values", entries["values"])
     config = ScenarioConfig(
         n_sources=_parse_number("n_sources", entries["n_sources"]),
         modulus=_parse_number("modulus", entries["modulus"]),
@@ -228,18 +231,13 @@ def cmd_curve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_sizes(raw: str) -> list[int]:
-    if ".." in raw:
-        lo_raw, _, hi_raw = raw.partition("..")
-        lo, hi = _parse_number("sizes", lo_raw), _parse_number("sizes", hi_raw)
-        if lo > hi:
-            raise ConfigError("sizes", f"bad size range {raw!r}")
-        return list(range(lo, hi + 1))
-    return [_parse_number("sizes", v) for v in raw.split(",")]
-
-
 def cmd_bench(args: argparse.Namespace) -> int:
-    sizes = _parse_sizes(args.sizes)
+    listed, bounds = _parse_ints("sizes", args.sizes)
+    sizes = listed if bounds is None else range(bounds[0], bounds[1] + 1)
+    if not sizes:
+        raise ConfigError("sizes", f"bad size range {args.sizes!r}")
+    if min(sizes) < 1:
+        raise ConfigError("sizes", f"every size must be >= 1, got {args.sizes!r}")
     if args.repetitions < 1:
         raise ConfigError("repetitions", "must be >= 1")
     schemes = ["ours", "cpda"] if args.scheme == "both" else [args.scheme]

@@ -72,10 +72,6 @@ class Cluster:
         if len(set(self.seeds)) != len(self.seeds) or 0 in self.seeds:
             raise ValueError("seeds must be pairwise distinct and nonzero")
 
-    @property
-    def size(self) -> int:
-        return len(self.values)
-
 
 def next_prime(n: int) -> int:
     """Smallest prime strictly greater than n (trial division)."""

@@ -35,10 +35,6 @@ class KeyingError(Exception):
     """Base error for key management failures."""
 
 
-class ConfigMismatchError(KeyingError):
-    """Key bank does not match its declared configuration."""
-
-
 class UnknownSourceError(KeyingError):
     """Source id was never provisioned."""
 
@@ -97,12 +93,6 @@ class KeyBank:
         return cls(
             aggregator_keys=tuple(values[: config.aggregator_keys]),
             source_keys=tuple(values[config.aggregator_keys:]),
-        )
-
-    def matches(self, config: KeyBankConfig) -> bool:
-        return (
-            len(self.aggregator_keys) == config.aggregator_keys
-            and len(self.source_keys) == config.source_source_keys
         )
 
 
@@ -227,12 +217,7 @@ class KeyDirectory:
     simulator bookkeeping, not knowledge attributed to the server.
     """
 
-    def __init__(self, config: KeyBankConfig, bank: KeyBank) -> None:
-        if not bank.matches(config):
-            raise ConfigMismatchError(
-                "key bank sizes do not match the declared configuration"
-            )
-        self.config = config
+    def __init__(self, bank: KeyBank) -> None:
         self.bank = bank
         self.round_no = 0
         self._permutations: dict[int, Permutation] = {}
@@ -249,7 +234,7 @@ class KeyDirectory:
         """
         if source_id in self._permutations:
             raise KeyingError(f"source {source_id} already provisioned")
-        perm = Permutation.random(self.config.aggregator_keys, rng)
+        perm = Permutation.random(len(self.bank.aggregator_keys), rng)
         keyring = SourceKeyring(
             source_id=source_id,
             aggregator_bank=perm.apply(self.bank.aggregator_keys),
@@ -310,9 +295,10 @@ class KeyDirectory:
             raise PairEstablishmentError(
                 f"sources {a} and {b} must both hold a server session key"
             )
-        perm_a = Permutation.random(self.config.source_source_keys, rng)
-        perm_b = Permutation.random(self.config.source_source_keys, rng)
-        index = rng.randint(1, self.config.source_source_keys)
+        size = len(self.bank.source_keys)
+        perm_a = Permutation.random(size, rng)
+        perm_b = Permutation.random(size, rng)
+        index = rng.randint(1, size)
         value = pairwise_key_value(self.bank.source_keys, perm_a, perm_b, index)
         lo, hi = sorted((a, b))
         key = SessionKey(

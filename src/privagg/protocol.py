@@ -157,9 +157,9 @@ class RoundRunner:
         network: "Network",
         values: tuple[int, ...],
         modulus: int,
+        rng: random.Random,
+        keying_rng: random.Random,
         mode: str = "direct",
-        rng: random.Random | None = None,
-        keying_rng: random.Random | None = None,
         malicious_probe: bool = False,
         defense_enabled: bool = True,
         force_initiator: int | None = None,
@@ -177,8 +177,8 @@ class RoundRunner:
         self.values = tuple(values)
         self.modulus = modulus
         self.mode = mode
-        self.rng = rng if rng is not None else random.Random()
-        self.keying_rng = keying_rng if keying_rng is not None else random.Random()
+        self.rng = rng
+        self.keying_rng = keying_rng
         self.malicious_probe = malicious_probe
         self.defense_enabled = defense_enabled
         self.force_initiator = force_initiator

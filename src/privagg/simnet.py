@@ -35,15 +35,11 @@ from .protocol import (
 ADVERSARY_KINDS = ("none", "probe", "probe_ablation", "collusion", "link")
 
 
-class SimError(Exception):
-    """Base error for simulator failures."""
-
-
-class NoLinkError(SimError):
+class NoLinkError(Exception):
     """Message addressed between sources that share no edge."""
 
 
-class ConfigError(SimError):
+class ConfigError(Exception):
     """Scenario configuration failed validation."""
 
     def __init__(self, fieldname: str, message: str) -> None:
@@ -382,7 +378,7 @@ def run_scenario(config: ScenarioConfig) -> Transcript:
     config.validate()
     bank_config = KeyBankConfig(config.total_keys, config.source_source_keys)
     bank = KeyBank.generate(bank_config, _subrng(config.seed, "bank"))
-    directory = KeyDirectory(bank_config, bank)
+    directory = KeyDirectory(bank)
     provision_rng = _subrng(config.seed, "provision")
     for sid in range(1, config.n_sources + 1):
         directory.provision_source(sid, provision_rng)

@@ -2,14 +2,9 @@
 
 import random
 
-from privagg import (
-    KeyBank,
-    KeyBankConfig,
-    KeyDirectory,
-    Network,
-    RoundRunner,
-    Topology,
-)
+from privagg.keying import KeyBank, KeyBankConfig, KeyDirectory
+from privagg.protocol import RoundRunner
+from privagg.simnet import Network, Topology
 
 
 def path_topology(n, server_links=(1,)):
@@ -49,7 +44,7 @@ def build_network(topology, seed=0, total_keys=20, source_source_keys=8):
     """A network over ``topology`` with every source provisioned."""
     config = KeyBankConfig(total_keys, source_source_keys)
     bank = KeyBank.generate(config, random.Random(f"{seed}:bank"))
-    directory = KeyDirectory(config, bank)
+    directory = KeyDirectory(bank)
     provision_rng = random.Random(f"{seed}:provision")
     for sid in topology.sources():
         directory.provision_source(sid, provision_rng)

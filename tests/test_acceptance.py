@@ -10,28 +10,28 @@ import time
 from contextlib import contextmanager
 from dataclasses import replace
 
-from privagg import (
-    KeyBank,
-    KeyBankConfig,
-    KeyDirectory,
-    Cluster,
-    DisclosureModel,
-    Permutation,
-    RoundOutcome,
-    ScenarioConfig,
-    benchmark_kernel,
-    chain_disclosure_probability,
-    cluster_round,
-    disclosure_probability,
+from privagg import ScenarioConfig, run_scenario
+from privagg.adversary import (
+    chain_hops,
     empirical_disclosure_rate,
-    next_prime,
-    probability_grid,
     probe_all_initiators,
     run_collusion_attack,
-    run_scenario,
 )
-from privagg.adversary import chain_hops
-from privagg.cpda import default_seeds
+from privagg.analysis import (
+    DisclosureModel,
+    chain_disclosure_probability,
+    disclosure_probability,
+    probability_grid,
+)
+from privagg.cpda import (
+    Cluster,
+    benchmark_kernel,
+    cluster_round,
+    default_seeds,
+    next_prime,
+)
+from privagg.keying import KeyBank, KeyBankConfig, KeyDirectory, Permutation
+from privagg.protocol import RoundOutcome
 
 
 @contextmanager
@@ -174,7 +174,7 @@ def test_criterion_5_key_establishment():
             seed_rng = random.Random(trial)
             config = KeyBankConfig(20, 8)
             bank = KeyBank.generate(config, seed_rng)
-            directory = KeyDirectory(config, bank)
+            directory = KeyDirectory(bank)
             for sid in (1, 2):
                 directory.provision_source(sid, seed_rng)
             directory.begin_round(1)

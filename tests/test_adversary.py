@@ -6,24 +6,21 @@ from dataclasses import replace
 
 import pytest
 
-from privagg import (
+from privagg import ScenarioConfig, adversary, run_scenario
+from privagg.adversary import (
     AttackNotApplicableError,
-    MessageKind,
-    RoundOutcome,
-    ScenarioConfig,
+    chain_hops,
     empirical_disclosure_rate,
-    mask_initial,
+    links_used,
     observed_masked_values,
     probe_all_initiators,
     run_collusion_attack,
     run_link_compromise,
-    run_scenario,
     run_server_probe,
     semi_honest_view,
 )
-from privagg import adversary
-from privagg.adversary import chain_hops, links_used
-from privagg.protocol import ProtocolError
+from privagg.masking import mask_initial
+from privagg.protocol import MessageKind, ProtocolError, RoundOutcome
 
 PATH_CHAIN = ScenarioConfig(
     n_sources=3,

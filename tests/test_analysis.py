@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from privagg import (
+from privagg.analysis import (
     CurvePoint,
     DisclosureModel,
     chain_disclosure_probability,

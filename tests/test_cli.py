@@ -2,8 +2,8 @@
 
 import pytest
 
-from privagg import RoundOutcome
 from privagg.cli import _EXIT_BY_OUTCOME, ATTACK_CSV_HEADER, main, parse_config_text
+from privagg.protocol import RoundOutcome
 from privagg.simnet import ConfigError
 
 THREE_NODE_CONFIG = """\
@@ -208,6 +208,11 @@ def test_curve_invalid_grid(capsys):
     assert main(["curve", "--b-stop", "1.5"]) == 1
 
 
+def test_curve_nan_step_names_the_step(capsys):
+    assert main(["curve", "--b-step", "nan"]) == 1
+    assert capsys.readouterr().err == "error: grid step must be positive\n"
+
+
 def test_bench_chain_counts(capsys):
     code = main(["bench", "--scheme", "ours", "--sizes", "2..10", "--repetitions", "3"])
     assert code == 0
@@ -246,7 +251,7 @@ def test_bench_out_file(tmp_path, capsys):
     assert out.read_text().startswith("scheme,n_nodes,op_count")
 
 
-@pytest.mark.parametrize("sizes", ["abc", "1..x", "5..3"])
+@pytest.mark.parametrize("sizes", ["abc", "1..x", "5..3", "0", "0..4", "-2"])
 def test_bench_malformed_sizes_names_field(sizes, capsys):
     assert main(["bench", "--sizes", sizes, "--repetitions", "1"]) == 1
     assert capsys.readouterr().err.startswith("config error: field 'sizes': ")

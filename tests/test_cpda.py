@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from privagg import (
+from privagg.cpda import (
     Cluster,
     OpCounter,
     assemble_cluster_sum,

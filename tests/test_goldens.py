@@ -14,8 +14,9 @@ import random
 
 import pytest
 
-from privagg import ScenarioConfig, Topology, generate_topology, run_scenario
+from privagg import ScenarioConfig, run_scenario
 from privagg.cli import main
+from privagg.simnet import Topology, generate_topology
 
 TOPOLOGY_GOLDENS = {
     (1, 0.0, 0): "ca2dd1ed49f76379a81e20fb1b8b56356eba71831161c38132d2601a98ee354d",

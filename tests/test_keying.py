@@ -6,27 +6,24 @@ import random
 import pytest
 from helpers import build_network, complete_topology
 
-from privagg import (
+from privagg.keying import (
+    IndexRangeError,
     KeyBank,
     KeyBankConfig,
     KeyDirectory,
-    Permutation,
-    RoundRunner,
-    pairwise_key_value,
-)
-from privagg.keying import (
-    ConfigMismatchError,
-    IndexRangeError,
     KeyingError,
     PairEstablishmentError,
+    Permutation,
     UnknownSourceError,
+    pairwise_key_value,
 )
+from privagg.protocol import RoundRunner
 
 
 def make_directory(total=100, source_source=30, seed=1):
     config = KeyBankConfig(total, source_source)
     bank = KeyBank.generate(config, random.Random(seed))
-    return KeyDirectory(config, bank)
+    return KeyDirectory(bank)
 
 
 def test_bank_split_sizes():
@@ -34,7 +31,6 @@ def test_bank_split_sizes():
     bank = KeyBank.generate(config, random.Random(0))
     assert len(bank.aggregator_keys) == 70
     assert len(bank.source_keys) == 30
-    assert bank.matches(config)
 
 
 def test_config_rejects_bad_split():
@@ -44,10 +40,17 @@ def test_config_rejects_bad_split():
         KeyBankConfig(10, 0)
 
 
-def test_directory_rejects_mismatched_bank():
-    bank = KeyBank.generate(KeyBankConfig(20, 5), random.Random(0))
-    with pytest.raises(ConfigMismatchError):
-        KeyDirectory(KeyBankConfig(30, 5), bank)
+def test_directory_takes_permutation_sizes_from_the_bank():
+    directory = make_directory(total=30, source_source=5, seed=0)
+    directory.provision_source(1, random.Random(1))
+    directory.provision_source(2, random.Random(2))
+    assert len(directory.aggregator_permutation(1)) == 25
+    directory.begin_round(1)
+    for sid in (1, 2):
+        directory.keyring(sid).select_aggregator_key(random.Random(sid))
+    exchange = directory.establish_pairwise_key(1, 2, random.Random(3))
+    assert len(exchange.initiator_perm) == 5
+    assert len(exchange.responder_perm) == 5
 
 
 def test_provision_bank_sizes_both_ends():

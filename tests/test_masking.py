@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from privagg import chain_add, collusion_recover, mask_initial, unmask
+from privagg.masking import chain_add, collusion_recover, mask_initial, unmask
 
 
 def direct_chain(values, r, m):

@@ -9,9 +9,9 @@ from collections import Counter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from privagg import MessageKind, RoundOutcome, ScenarioConfig, run_scenario
+from privagg import ScenarioConfig, run_scenario
 from privagg.keying import SERVER
-from privagg.protocol import MASKED_VALUE_KINDS, MODES
+from privagg.protocol import MASKED_VALUE_KINDS, MODES, MessageKind, RoundOutcome
 
 MODULUS = 2**16
 

@@ -6,8 +6,13 @@ from collections import Counter
 import pytest
 from helpers import build_round, complete_topology, path_topology
 
-from privagg import MessageKind, RoundOutcome, run_scenario, ScenarioConfig
-from privagg.protocol import MissingPairwiseKeyError, ProtocolError
+from privagg import ScenarioConfig, run_scenario
+from privagg.protocol import (
+    MessageKind,
+    MissingPairwiseKeyError,
+    ProtocolError,
+    RoundOutcome,
+)
 
 
 def run_path_chain(values, modulus, seed=0, mode="direct", **kwargs):
@@ -140,7 +145,7 @@ def test_forward_without_pairwise_key_rejected():
 
 def test_relay_jump_completes_sparse_topology():
     # sources 1-2 adjacent; 3 reachable only through the server
-    from privagg import Topology
+    from privagg.simnet import Topology
 
     topo = Topology(3, ((1, 2),), frozenset({1, 3}))
     runner, network = build_round(

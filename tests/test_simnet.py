@@ -7,22 +7,17 @@ from collections import Counter
 import pytest
 from helpers import build_round, check_invariants, complete_topology, path_topology
 
-from privagg import (
+from privagg import ScenarioConfig, run_scenario
+from privagg.keying import SERVER, SessionKey
+from privagg.protocol import MODES, Message, MessageKind, RoundOutcome
+from privagg.simnet import (
     ConfigError,
-    Message,
-    MessageKind,
     Network,
     NoLinkError,
-    RoundOutcome,
-    ScenarioConfig,
-    SessionKey,
     Topology,
     TraceEvent,
     generate_topology,
-    run_scenario,
 )
-from privagg.keying import SERVER
-from privagg.protocol import MODES
 
 
 def test_full_density_gives_complete_graph():
