@@ -6,6 +6,12 @@ that entered the node and the masked value that left it, because their
 modular difference is the node's contribution.  "Can read" is decided by the
 transcript's per-event readable-by sets, i.e. by key possession.
 
+The chain structure of a round (its hops in visitation order, each node's
+position and the used links in canonical order) is built once per round by
+one `chain_hops` scan, cached on the transcript, and shared by all attacks;
+so attacking every target of a round costs one scan plus a dict lookup per
+target.
+
 For neighbor collusion the adversary is the pair of visitation-order
 neighbors of the target and the observed events are the target's two
 incident chain hops.  Over a direct source-to-source hop the colluders are
@@ -28,19 +34,26 @@ from __future__ import annotations
 import random
 from collections.abc import Callable
 from dataclasses import dataclass, replace
+from itertools import repeat, starmap
 
 from .keying import SERVER
 from .masking import collusion_recover
-from .protocol import MASKED_VALUE_KINDS, MessageKind, ProtocolError, RoundOutcome
+from .protocol import (
+    MASKED_VALUE_KINDS,
+    MessageKind,
+    ProtocolError,
+    RoundOutcome,
+    RoundResult,
+)
 from .simnet import ScenarioConfig, Transcript, TraceEvent, run_scenario
 
-_CHAIN_INBOUND = frozenset({MessageKind.MASKED_FORWARD, MessageKind.RELAY_DOWN})
-_CHAIN_OUTBOUND = frozenset(
-    {
-        MessageKind.MASKED_FORWARD,
-        MessageKind.RELAY_UP,
-        MessageKind.FINAL_MASKED_VALUE,
-    }
+# Tuples, not sets: a tuple membership test compares by identity first and
+# never calls Enum.__hash__, which runs in Python.
+_CHAIN_INBOUND = (MessageKind.MASKED_FORWARD, MessageKind.RELAY_DOWN)
+_CHAIN_OUTBOUND = (
+    MessageKind.MASKED_FORWARD,
+    MessageKind.RELAY_UP,
+    MessageKind.FINAL_MASKED_VALUE,
 )
 
 
@@ -66,23 +79,69 @@ class ChainHop:
     outbound: TraceEvent | None  # emission of this node's masked value
 
 
+class _ChainIndex:
+    """One round's chain structure, read by every attack on that round."""
+
+    __slots__ = ("result", "hops", "position", "link_position")
+
+    def __init__(
+        self,
+        result: RoundResult,
+        hops: list[ChainHop],
+        links: set[tuple[int, int]],
+    ) -> None:
+        self.result = result  # the round it describes, to spot a replaced one
+        self.hops = tuple(hops)  # visitation order
+        self.position = {hop.node: i for i, hop in enumerate(hops)}
+        # every used link, in canonical order, with its place in that order
+        self.link_position = {link: i for i, link in enumerate(sorted(links))}
+
+
+def _event_link(event: TraceEvent) -> tuple[int, int]:
+    a, b = event.message.sender, event.message.receiver
+    return (a, b) if a < b else (b, a)
+
+
 def chain_hops(transcript: Transcript, round_index: int = -1) -> list[ChainHop]:
-    """Reconstruct the visitation chain and its incident events for a round."""
+    """Reconstruct the visitation chain and its incident events for a round.
+
+    The same scan collects the round's used links, and both are cached on
+    the transcript as the round's chain index, which the attacks read.
+    """
     result = transcript.results[round_index]
-    round_no = round_index + 1 if round_index >= 0 else len(transcript.results)
-    events = transcript.round_events(round_no)
+    round_no = round_index % len(transcript.results) + 1
     inbound: dict[int, TraceEvent] = {}
     outbound: dict[int, TraceEvent] = {}
-    for event in events:
+    links: set[tuple[int, int]] = set()
+    for event in transcript.round_events(round_no):
         msg = event.message
-        if msg.kind in _CHAIN_INBOUND and msg.receiver not in inbound:
-            inbound[msg.receiver] = event
-        if msg.kind in _CHAIN_OUTBOUND and msg.sender not in outbound:
-            outbound[msg.sender] = event
-    return [
+        kind, sender, receiver = msg.kind, msg.sender, msg.receiver
+        if kind in _CHAIN_INBOUND and receiver not in inbound:
+            inbound[receiver] = event
+        if kind in _CHAIN_OUTBOUND and sender not in outbound:
+            outbound[sender] = event
+        links.add(_event_link(event))
+    hops = [
         ChainHop(node=n, inbound=inbound.get(n), outbound=outbound.get(n))
         for n in result.visitation
     ]
+    transcript._chain_indexes[round_no] = _ChainIndex(result, hops, links)
+    return hops
+
+
+def _chain_index(transcript: Transcript, round_index: int = -1) -> _ChainIndex:
+    """The round's cached chain index; `chain_hops` builds it on first use.
+
+    ``events`` is a tuple fixed by ``run_scenario``; a round result replaced
+    in ``results`` after the index was built makes the index rebuild.
+    """
+    result = transcript.results[round_index]
+    round_no = round_index % len(transcript.results) + 1
+    index = transcript._chain_indexes.get(round_no)
+    if index is None or index.result is not result:
+        chain_hops(transcript, round_index)
+        index = transcript._chain_indexes[round_no]
+    return index  # type: ignore[return-value]
 
 
 def _recover(
@@ -126,16 +185,16 @@ def run_collusion_attack(transcript: Transcript, target: int) -> AttackOutcome:
     by a colluder; then the difference of the two masked values is the
     target's private value, exactly.
     """
-    hops = chain_hops(transcript)
-    order = [h.node for h in hops]
-    if target not in order:
+    index = _chain_index(transcript)
+    hops = index.hops
+    position = index.position.get(target)
+    if position is None:
         raise AttackNotApplicableError(f"node {target} did not participate")
-    position = order.index(target)
-    if position == 0 or position == len(order) - 1:
+    if position == 0 or position == len(hops) - 1:
         raise AttackNotApplicableError(
             f"node {target} lacks a visitation predecessor or successor"
         )
-    colluders = {order[position - 1], order[position + 1]}
+    colluders = {hops[position - 1].node, hops[position + 1].node}
     value = _recover(
         hops[position],
         lambda event: not colluders.isdisjoint(event.readable_by),
@@ -176,15 +235,9 @@ def probe_all_initiators(config: ScenarioConfig) -> dict[int, AttackOutcome]:
     }
 
 
-def _event_link(event: TraceEvent) -> tuple[int, int]:
-    msg = event.message
-    return tuple(sorted((msg.sender, msg.receiver)))  # type: ignore[return-value]
-
-
 def links_used(transcript: Transcript, round_index: int = -1) -> list[tuple[int, int]]:
     """Distinct links carrying traffic in a round, in canonical order."""
-    round_no = round_index + 1 if round_index >= 0 else len(transcript.results)
-    return sorted({_event_link(e) for e in transcript.round_events(round_no)})
+    return list(_chain_index(transcript, round_index).link_position)
 
 
 def run_link_compromise(
@@ -198,14 +251,14 @@ def run_link_compromise(
     """
     if not 0.0 <= b <= 1.0:
         raise ValueError("link break probability must be in [0, 1]")
-    hops = chain_hops(transcript)
-    compromised = {link for link in links_used(transcript) if rng.random() < b}
+    index = _chain_index(transcript)
+    compromised = {link for link in index.link_position if rng.random() < b}
 
     def broken(event: TraceEvent) -> bool:
         return _event_link(event) in compromised
 
     disclosed = {}
-    for hop in hops:
+    for hop in index.hops:
         value = _recover(hop, broken, transcript.modulus)
         if value is not None:
             disclosed[hop.node] = value
@@ -221,25 +274,29 @@ def empirical_disclosure_rate(
 ) -> float:
     """Monte Carlo frequency of ``target`` being exposed by link compromise.
 
-    Same event as `run_link_compromise`, with the chain structure extracted
-    once so large trial counts stay cheap.
+    Same event and the same draws as `run_link_compromise`: each trial
+    draws one value per used link, in canonical order, at C level, and only
+    the draws at the positions of the target's two links are compared with
+    ``b``.
     """
     if not 0.0 <= b <= 1.0:
         raise ValueError("link break probability must be in [0, 1]")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    hops = chain_hops(transcript)
-    links = links_used(transcript)
-    hop = next((h for h in hops if h.node == target), None)
+    index = _chain_index(transcript)
+    position = index.position.get(target)
+    hop = None if position is None else index.hops[position]
     if hop is None or hop.inbound is None or hop.outbound is None:
         raise AttackNotApplicableError(
             f"node {target} lacks two incident chain hops"
         )
-    link_in = _event_link(hop.inbound)
-    link_out = _event_link(hop.outbound)
+    at_in = index.link_position[_event_link(hop.inbound)]
+    at_out = index.link_position[_event_link(hop.outbound)]
+    draw = rng.random
+    n_links = len(index.link_position)
     exposed = 0
     for _ in range(trials):
-        compromised = {link for link in links if rng.random() < b}
-        if link_in in compromised and link_out in compromised:
+        draws = list(starmap(draw, repeat((), n_links)))
+        if draws[at_in] < b and draws[at_out] < b:
             exposed += 1
     return exposed / trials

@@ -21,6 +21,7 @@ occurs with probability b².  It validates the simulator, not the formula.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, replace
 
@@ -106,6 +107,8 @@ def probability_grid(start: float, stop: float, step: float) -> list[float]:
     """Inclusive grid of b values; endpoints must stay within [0, 1]."""
     if not step > 0:  # also rejects NaN
         raise ModelError("grid step must be positive")
+    if math.isinf(step):  # 0 * inf is NaN, which would drop every point
+        raise ModelError("grid step must be positive and finite")
     if not (0.0 <= start <= stop <= 1.0):
         raise ModelError("grid endpoints must satisfy 0 <= start <= stop <= 1")
     count = int(round((stop - start) / step)) + 1

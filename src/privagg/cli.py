@@ -16,7 +16,8 @@ seed, mode, adversary, rounds.  ``values`` is either an explicit comma list
 round.  Unknown keys are rejected so configs stay reproducible.
 
 Exit codes: 0 on success (``run``: the final round ended in a sum), 1 on
-invalid configuration or flags, 2 when the final round was refused.
+invalid configuration or flags or a protocol, keying or attack error
+(reported as ``error: <message>``), 2 when the final round was refused.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from .adversary import (
 )
 from .analysis import DisclosureModel, curve_csv, probability_grid, sweep_curve
 from .cpda import CPDA_MAX_CLUSTER, CPDA_MIN_CLUSTER, bench_csv, benchmark_kernel
-from .protocol import RoundOutcome, node_label
+from .keying import KeyingError
+from .protocol import ProtocolError, RoundOutcome, node_label
 from .simnet import ConfigError, ScenarioConfig, run_scenario, scenario_values
 
 ATTACK_CSV_HEADER = "model,target,disclosed_value,true_value,exact,defense_triggered"
@@ -316,7 +318,13 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:
+    except (
+        ValueError,
+        OSError,
+        ProtocolError,
+        KeyingError,
+        AttackNotApplicableError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -219,12 +219,20 @@ class TraceEvent:
 
 @dataclass
 class Transcript:
-    """Ordered trace of one scenario run, replayable from its seed."""
+    """Ordered trace of one scenario run, replayable from its seed.
+
+    ``run_scenario`` fixes ``events`` as a tuple once the run ends, so the
+    per-round chain indexes the attacks cache in ``_chain_indexes`` (round
+    number to index, built on the first attack) never see them change.
+    """
 
     seed: int
     modulus: int
-    events: list[TraceEvent] = field(default_factory=list)
+    events: tuple[TraceEvent, ...] = ()
     results: list[RoundResult] = field(default_factory=list)
+    _chain_indexes: dict[int, object] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     @property
     def result(self) -> RoundResult:
@@ -236,7 +244,7 @@ class Transcript:
         key = attrgetter("round_no")
         lo = bisect_left(self.events, round_no, key=key)
         hi = bisect_right(self.events, round_no, lo=lo, key=key)
-        return self.events[lo:hi]
+        return list(self.events[lo:hi])
 
     def serialize(self) -> str:
         """Line log: step, sender, receiver, variant, key id or PLAIN, payload.
@@ -403,6 +411,6 @@ def run_scenario(config: ScenarioConfig) -> Transcript:
             force_initial_mask=config.force_initial_mask,
         )
         transcript.results.append(runner.run())
-    transcript.events = network.events
+    transcript.events = tuple(network.events)
     return transcript
 

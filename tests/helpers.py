@@ -2,8 +2,10 @@
 
 import random
 
+from privagg.adversary import AttackNotApplicableError, AttackOutcome, ChainHop
 from privagg.keying import KeyBank, KeyBankConfig, KeyDirectory
-from privagg.protocol import RoundRunner
+from privagg.masking import collusion_recover
+from privagg.protocol import MessageKind, RoundRunner
 from privagg.simnet import Network, Topology
 
 
@@ -73,3 +75,102 @@ def build_round(
         **runner_kwargs,
     )
     return runner, network
+
+
+# Reference attacks: a scan of the round for every call, as the attacks did
+# before the per-round chain index.  The equivalence tests hold the indexed
+# attacks to these outcomes, exceptions, draws and rates.
+
+_REF_INBOUND = {MessageKind.MASKED_FORWARD, MessageKind.RELAY_DOWN}
+_REF_OUTBOUND = {
+    MessageKind.MASKED_FORWARD,
+    MessageKind.RELAY_UP,
+    MessageKind.FINAL_MASKED_VALUE,
+}
+
+
+def _ref_round_no(transcript, round_index):
+    return range(1, len(transcript.results) + 1)[round_index]
+
+
+def reference_chain_hops(transcript, round_index=-1):
+    result = transcript.results[round_index]
+    events = transcript.round_events(_ref_round_no(transcript, round_index))
+    inbound, outbound = {}, {}
+    for event in events:
+        msg = event.message
+        if msg.kind in _REF_INBOUND and msg.receiver not in inbound:
+            inbound[msg.receiver] = event
+        if msg.kind in _REF_OUTBOUND and msg.sender not in outbound:
+            outbound[msg.sender] = event
+    return [
+        ChainHop(node=n, inbound=inbound.get(n), outbound=outbound.get(n))
+        for n in result.visitation
+    ]
+
+
+def _ref_link(event):
+    return tuple(sorted((event.message.sender, event.message.receiver)))
+
+
+def reference_links_used(transcript, round_index=-1):
+    events = transcript.round_events(_ref_round_no(transcript, round_index))
+    return sorted({_ref_link(e) for e in events})
+
+
+def _ref_recover(hop, reads, modulus):
+    if hop.inbound is None or hop.outbound is None:
+        return None
+    if not (reads(hop.inbound) and reads(hop.outbound)):
+        return None
+    return collusion_recover(
+        hop.outbound.message.payload, hop.inbound.message.payload, modulus
+    )
+
+
+def reference_collusion(transcript, target):
+    hops = reference_chain_hops(transcript)
+    order = [h.node for h in hops]
+    if target not in order:
+        raise AttackNotApplicableError(f"node {target} did not participate")
+    position = order.index(target)
+    if position == 0 or position == len(order) - 1:
+        raise AttackNotApplicableError(
+            f"node {target} lacks a visitation predecessor or successor"
+        )
+    colluders = {order[position - 1], order[position + 1]}
+    value = _ref_recover(
+        hops[position],
+        lambda event: not colluders.isdisjoint(event.readable_by),
+        transcript.modulus,
+    )
+    if value is None:
+        return AttackOutcome(disclosed={}, success=False)
+    return AttackOutcome(disclosed={target: value}, success=True)
+
+
+def reference_link_compromise(transcript, b, rng):
+    compromised = {
+        link for link in reference_links_used(transcript) if rng.random() < b
+    }
+    disclosed = {}
+    for hop in reference_chain_hops(transcript):
+        value = _ref_recover(
+            hop, lambda e: _ref_link(e) in compromised, transcript.modulus
+        )
+        if value is not None:
+            disclosed[hop.node] = value
+    return AttackOutcome(disclosed=disclosed, success=bool(disclosed))
+
+
+def reference_disclosure_rate(transcript, target, b, trials, rng):
+    """One set of broken links per trial, as the Monte Carlo loop was."""
+    links = reference_links_used(transcript)
+    hop = next(h for h in reference_chain_hops(transcript) if h.node == target)
+    link_in, link_out = _ref_link(hop.inbound), _ref_link(hop.outbound)
+    exposed = 0
+    for _ in range(trials):
+        compromised = {link for link in links if rng.random() < b}
+        if link_in in compromised and link_out in compromised:
+            exposed += 1
+    return exposed / trials

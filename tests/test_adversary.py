@@ -20,7 +20,16 @@ from privagg.adversary import (
     semi_honest_view,
 )
 from privagg.masking import mask_initial
-from privagg.protocol import MessageKind, ProtocolError, RoundOutcome
+from privagg.protocol import MODES, MessageKind, ProtocolError, RoundOutcome
+from privagg.simnet import Transcript
+
+from helpers import (
+    reference_chain_hops,
+    reference_collusion,
+    reference_disclosure_rate,
+    reference_link_compromise,
+    reference_links_used,
+)
 
 PATH_CHAIN = ScenarioConfig(
     n_sources=3,
@@ -233,3 +242,156 @@ def test_chain_hops_structure():
     assert all(h.outbound is not None for h in hops)
     assert all(h.inbound is not None for h in hops[1:])
     assert links_used(transcript)  # round used at least one link
+
+
+def equivalence_transcripts(mode, n):
+    """Seeds 0-4 with 1-3 rounds each; p=0.3 mixes direct hops and relay
+    jumps in direct mode."""
+    for seed in range(5):
+        for rounds in (1, 2, 3):
+            yield run_scenario(
+                ScenarioConfig(
+                    n_sources=n,
+                    modulus=2**20,
+                    value_range=(0, 99),
+                    edge_prob=0.3,
+                    seed=seed,
+                    mode=mode,
+                    rounds=rounds,
+                )
+            )
+
+
+def outcome_or_error(attack, *args):
+    try:
+        return attack(*args)
+    except AttackNotApplicableError as exc:
+        return type(exc), str(exc)
+
+
+EQUIVALENCE_CASES = pytest.mark.parametrize(
+    "mode,n", [(mode, n) for mode in MODES for n in (2, 3, 30)]
+)
+
+
+@EQUIVALENCE_CASES
+def test_indexed_chain_matches_per_call_scan(mode, n):
+    for transcript in equivalence_transcripts(mode, n):
+        for round_index in range(len(transcript.results)):
+            assert chain_hops(transcript, round_index) == reference_chain_hops(
+                transcript, round_index
+            )
+            assert links_used(transcript, round_index) == reference_links_used(
+                transcript, round_index
+            )
+
+
+@EQUIVALENCE_CASES
+def test_indexed_collusion_matches_per_target_scan(mode, n):
+    for transcript in equivalence_transcripts(mode, n):
+        for target in range(n + 2):
+            assert outcome_or_error(
+                run_collusion_attack, transcript, target
+            ) == outcome_or_error(reference_collusion, transcript, target)
+
+
+@EQUIVALENCE_CASES
+def test_indexed_link_compromise_matches_reference(mode, n):
+    for transcript in equivalence_transcripts(mode, n):
+        for b in (0.0, 0.5, 1.0):
+            rng, ref_rng = random.Random(b), random.Random(b)
+            assert run_link_compromise(transcript, b, rng) == (
+                reference_link_compromise(transcript, b, ref_rng)
+            )
+            assert rng.getstate() == ref_rng.getstate()  # same number of draws
+
+
+@EQUIVALENCE_CASES
+def test_same_stream_monte_carlo_is_bit_identical(mode, n):
+    for transcript in equivalence_transcripts(mode, n):
+        hops = chain_hops(transcript)
+        targets = [h.node for h in hops if h.inbound and h.outbound]
+        assert targets  # every non-initiator has both hops
+        for target in (targets[0], targets[-1]):
+            for b in (0.0, 0.3, 0.5, 1.0):
+                for trials in (1, 1000):
+                    rng = random.Random(f"{target}:{b}:{trials}")
+                    ref_rng = random.Random(f"{target}:{b}:{trials}")
+                    rate = empirical_disclosure_rate(
+                        transcript, target, b, trials, rng
+                    )
+                    expected = reference_disclosure_rate(
+                        transcript, target, b, trials, ref_rng
+                    )
+                    assert rate.hex() == expected.hex()
+                    assert rng.getstate() == ref_rng.getstate()
+
+
+def test_strict_relay_target_hops_share_one_link():
+    transcript = ordered_chain_transcript(mode="strict-relay")
+    target = transcript.result.visitation[1]
+    hop = chain_hops(transcript)[1]
+    links = {
+        tuple(sorted((e.message.sender, e.message.receiver)))
+        for e in (hop.inbound, hop.outbound)
+    }
+    assert len(links) == 1
+    # one link decides exposure, so the rate is b, not b squared
+    rate = empirical_disclosure_rate(transcript, target, 0.5, 4000, random.Random(3))
+    assert abs(rate - 0.5) < 0.05
+
+
+@pytest.fixture
+def round_event_calls(monkeypatch):
+    calls = []
+    original = Transcript.round_events
+
+    def counted(self, round_no):
+        calls.append(round_no)
+        return original(self, round_no)
+
+    monkeypatch.setattr(Transcript, "round_events", counted)
+    return calls
+
+
+def test_all_target_attacks_scan_the_round_once(round_event_calls):
+    transcript = run_scenario(
+        ScenarioConfig(
+            n_sources=60, modulus=2**20, value_range=(0, 99), edge_prob=0.5, seed=4
+        )
+    )
+    middle = transcript.result.visitation[1:-1]
+    outcomes = [run_collusion_attack(transcript, t) for t in middle]
+    assert all(o.success for o in outcomes)
+    assert round_event_calls == [1]
+    run_link_compromise(transcript, 0.5, random.Random(0))
+    empirical_disclosure_rate(transcript, middle[0], 0.5, 10, random.Random(0))
+    links_used(transcript)
+    assert round_event_calls == [1]
+
+
+def test_chain_hops_reads_the_requested_round():
+    transcript = run_scenario(
+        ScenarioConfig(
+            n_sources=8, modulus=2**20, value_range=(0, 99), seed=2, rounds=3
+        )
+    )
+    assert isinstance(transcript.events, tuple)
+    for round_index, round_no in ((0, 1), (1, 2), (-2, 2), (2, 3), (-1, 3)):
+        hops = chain_hops(transcript, round_index)
+        visitation = transcript.results[round_no - 1].visitation
+        assert [h.node for h in hops] == list(visitation)
+        events = [e for h in hops for e in (h.inbound, h.outbound) if e]
+        assert {e.round_no for e in events} == {round_no}
+
+
+def test_replaced_round_result_rebuilds_the_index(round_event_calls):
+    transcript = ordered_chain_transcript()
+    target = transcript.result.visitation[1]
+    assert run_collusion_attack(transcript, target).success
+    transcript.results[-1] = replace(
+        transcript.result, visitation=transcript.result.visitation[:1]
+    )
+    with pytest.raises(AttackNotApplicableError, match="did not participate"):
+        run_collusion_attack(transcript, target)
+    assert round_event_calls == [1, 1]

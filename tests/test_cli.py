@@ -2,8 +2,11 @@
 
 import pytest
 
+from privagg import cli
+from privagg.adversary import AttackNotApplicableError
 from privagg.cli import _EXIT_BY_OUTCOME, ATTACK_CSV_HEADER, main, parse_config_text
-from privagg.protocol import RoundOutcome
+from privagg.keying import KeyingError
+from privagg.protocol import ProtocolError, RoundOutcome
 from privagg.simnet import ConfigError
 
 THREE_NODE_CONFIG = """\
@@ -211,6 +214,28 @@ def test_curve_invalid_grid(capsys):
 def test_curve_nan_step_names_the_step(capsys):
     assert main(["curve", "--b-step", "nan"]) == 1
     assert capsys.readouterr().err == "error: grid step must be positive\n"
+
+
+def test_curve_infinite_step_names_the_step(capsys):
+    assert main(["curve", "--b-step", "inf"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: grid step must be positive and finite\n"
+
+
+@pytest.mark.parametrize(
+    "error", [ProtocolError, KeyingError, AttackNotApplicableError]
+)
+def test_library_errors_exit_one_with_message(
+    error, config_path, tmp_path, monkeypatch, capsys
+):
+    def fail(_config):
+        raise error("no way through")
+
+    monkeypatch.setattr(cli, "run_scenario", fail)
+    out = str(tmp_path / "t.log")
+    assert main(["run", "--config", config_path, "--out", out]) == 1
+    assert capsys.readouterr().err == "error: no way through\n"
 
 
 def test_bench_chain_counts(capsys):
