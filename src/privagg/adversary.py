@@ -43,7 +43,6 @@ from .protocol import (
     MessageKind,
     ProtocolError,
     RoundOutcome,
-    RoundResult,
 )
 from .simnet import ScenarioConfig, Transcript, TraceEvent, run_scenario
 
@@ -82,15 +81,9 @@ class ChainHop:
 class _ChainIndex:
     """One round's chain structure, read by every attack on that round."""
 
-    __slots__ = ("result", "hops", "position", "link_position")
+    __slots__ = ("hops", "position", "link_position")
 
-    def __init__(
-        self,
-        result: RoundResult,
-        hops: list[ChainHop],
-        links: set[tuple[int, int]],
-    ) -> None:
-        self.result = result  # the round it describes, to spot a replaced one
+    def __init__(self, hops: list[ChainHop], links: set[tuple[int, int]]) -> None:
         self.hops = tuple(hops)  # visitation order
         self.position = {hop.node: i for i, hop in enumerate(hops)}
         # every used link, in canonical order, with its place in that order
@@ -102,14 +95,21 @@ def _event_link(event: TraceEvent) -> tuple[int, int]:
     return (a, b) if a < b else (b, a)
 
 
+def _round_no(transcript: Transcript, round_index: int) -> int:
+    """Round number of ``results[round_index]``, checked like an index."""
+    n = len(transcript.results)
+    if not -n <= round_index < n:
+        raise IndexError(f"round index {round_index} out of range")
+    return round_index % n + 1
+
+
 def chain_hops(transcript: Transcript, round_index: int = -1) -> list[ChainHop]:
     """Reconstruct the visitation chain and its incident events for a round.
 
     The same scan collects the round's used links, and both are cached on
     the transcript as the round's chain index, which the attacks read.
     """
-    result = transcript.results[round_index]
-    round_no = round_index % len(transcript.results) + 1
+    round_no = _round_no(transcript, round_index)
     inbound: dict[int, TraceEvent] = {}
     outbound: dict[int, TraceEvent] = {}
     links: set[tuple[int, int]] = set()
@@ -123,22 +123,17 @@ def chain_hops(transcript: Transcript, round_index: int = -1) -> list[ChainHop]:
         links.add(_event_link(event))
     hops = [
         ChainHop(node=n, inbound=inbound.get(n), outbound=outbound.get(n))
-        for n in result.visitation
+        for n in transcript.results[round_no - 1].visitation
     ]
-    transcript._chain_indexes[round_no] = _ChainIndex(result, hops, links)
+    transcript._chain_indexes[round_no] = _ChainIndex(hops, links)
     return hops
 
 
 def _chain_index(transcript: Transcript, round_index: int = -1) -> _ChainIndex:
-    """The round's cached chain index; `chain_hops` builds it on first use.
-
-    ``events`` is a tuple fixed by ``run_scenario``; a round result replaced
-    in ``results`` after the index was built makes the index rebuild.
-    """
-    result = transcript.results[round_index]
-    round_no = round_index % len(transcript.results) + 1
+    """The round's cached chain index; `chain_hops` builds it on first use."""
+    round_no = _round_no(transcript, round_index)
     index = transcript._chain_indexes.get(round_no)
-    if index is None or index.result is not result:
+    if index is None:
         chain_hops(transcript, round_index)
         index = transcript._chain_indexes[round_no]
     return index  # type: ignore[return-value]

@@ -36,7 +36,14 @@ from .analysis import DisclosureModel, curve_csv, probability_grid, sweep_curve
 from .cpda import CPDA_MAX_CLUSTER, CPDA_MIN_CLUSTER, bench_csv, benchmark_kernel
 from .keying import KeyingError
 from .protocol import ProtocolError, RoundOutcome, node_label
-from .simnet import ConfigError, ScenarioConfig, run_scenario, scenario_values
+from .simnet import (
+    ConfigError,
+    ScenarioConfig,
+    parse_adversary,
+    parse_number,
+    run_scenario,
+    scenario_values,
+)
 
 ATTACK_CSV_HEADER = "model,target,disclosed_value,true_value,exact,defense_triggered"
 
@@ -56,22 +63,14 @@ _CONFIG_KEYS = (
 _EXIT_BY_OUTCOME = {RoundOutcome.SUM: 0, RoundOutcome.REFUSED: 2}
 
 
-def _parse_number(key: str, raw: str, kind: type = int):
-    try:
-        return kind(raw)
-    except ValueError:
-        noun = "an integer" if kind is int else "a number"
-        raise ConfigError(key, f"expected {noun}, got {raw!r}") from None
-
-
 def _parse_ints(
     key: str, raw: str
 ) -> tuple[tuple[int, ...] | None, tuple[int, int] | None]:
     """A comma list, or the bounds of an inclusive ``lo..hi`` range."""
     if ".." in raw:
         lo_raw, _, hi_raw = raw.partition("..")
-        return None, (_parse_number(key, lo_raw), _parse_number(key, hi_raw))
-    return tuple(_parse_number(key, v) for v in raw.split(",")), None
+        return None, (parse_number(key, lo_raw), parse_number(key, hi_raw))
+    return tuple(parse_number(key, v) for v in raw.split(",")), None
 
 
 def parse_config_text(text: str) -> ScenarioConfig:
@@ -95,17 +94,17 @@ def parse_config_text(text: str) -> ScenarioConfig:
             raise ConfigError(required, "required key missing")
     values, value_range = _parse_ints("values", entries["values"])
     config = ScenarioConfig(
-        n_sources=_parse_number("n_sources", entries["n_sources"]),
-        modulus=_parse_number("modulus", entries["modulus"]),
+        n_sources=parse_number("n_sources", entries["n_sources"]),
+        modulus=parse_number("modulus", entries["modulus"]),
         values=values,
         value_range=value_range,
-        total_keys=_parse_number("K", entries.get("K", "100")),
-        source_source_keys=_parse_number("k", entries.get("k", "30")),
-        edge_prob=_parse_number("p", entries.get("p", "0.5"), float),
-        seed=_parse_number("seed", entries.get("seed", "0")),
+        total_keys=parse_number("K", entries.get("K", "100")),
+        source_source_keys=parse_number("k", entries.get("k", "30")),
+        edge_prob=parse_number("p", entries.get("p", "0.5"), float),
+        seed=parse_number("seed", entries.get("seed", "0")),
         mode=entries.get("mode", "direct"),
         adversary=entries.get("adversary", "none"),
-        rounds=_parse_number("rounds", entries.get("rounds", "1")),
+        rounds=parse_number("rounds", entries.get("rounds", "1")),
     )
     config.validate()
     return config
@@ -159,14 +158,15 @@ def _attack_row(
 def cmd_attack(args: argparse.Namespace) -> int:
     config = load_config(args.config, args.seed)
     model = args.model if args.model is not None else config.adversary
-    if model == "none":
+    kind, param = parse_adversary(model)
+    if kind == "none":
         raise ConfigError("adversary", "no adversary model configured or given")
-    kind, _, param = model.partition(":")
+    probe = kind in ("probe", "probe_ablation")
+    transcript = run_scenario(replace(config, adversary=kind if probe else "none"))
+    truth = scenario_values(config, len(transcript.results))
     rows = [ATTACK_CSV_HEADER]
-    if kind in ("probe", "probe_ablation"):
-        transcript = run_scenario(replace(config, adversary=kind))
+    if probe:
         result = transcript.result
-        truth = scenario_values(config, len(transcript.results))
         refused = result.outcome is RoundOutcome.REFUSED
         rows.append(
             _attack_row(
@@ -178,10 +178,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
             )
         )
     elif kind == "collusion":
-        transcript = run_scenario(replace(config, adversary="none"))
-        truth = scenario_values(config, len(transcript.results))
-        visitation = transcript.result.visitation
-        targets = [_parse_number("adversary", param)] if param else visitation[1:-1]
+        targets = transcript.result.visitation[1:-1] if param is None else [param]
         for target in targets:
             try:
                 outcome = run_collusion_attack(transcript, target)
@@ -196,16 +193,9 @@ def cmd_attack(args: argparse.Namespace) -> int:
                     False,
                 )
             )
-    elif kind == "link":
-        if not param:
-            raise ConfigError("adversary", "link model needs a probability: link:B")
-        b = _parse_number("adversary", param, float)
-        if not 0.0 <= b <= 1.0:  # also rejects NaN
-            raise ConfigError("adversary", f"link probability {param!r} not in [0, 1]")
-        transcript = run_scenario(replace(config, adversary="none"))
-        truth = scenario_values(config, len(transcript.results))
+    else:  # link
         rng = random.Random(f"{config.seed}:attack:link")
-        outcome = run_link_compromise(transcript, b, rng)
+        outcome = run_link_compromise(transcript, param, rng)
         for target in sorted(outcome.disclosed):
             rows.append(
                 _attack_row(
@@ -216,8 +206,6 @@ def cmd_attack(args: argparse.Namespace) -> int:
                     False,
                 )
             )
-    else:
-        raise ConfigError("adversary", f"unknown attack model {model!r}")
     _write_output("\n".join(rows) + "\n", args.out)
     return 0
 

@@ -201,8 +201,6 @@ class SourceKeyring:
 class PairwiseExchange:
     """Record of one pairwise establishment between two sources."""
 
-    initiator: int
-    responder: int
     initiator_perm: Permutation
     responder_perm: Permutation
     index: int
@@ -212,17 +210,15 @@ class PairwiseExchange:
 class KeyDirectory:
     """Server-side key state: per-source permutations and active sessions.
 
-    The directory also keeps the possession registry the simulated network
-    consults to decide who can read an encrypted message.  That registry is
-    simulator bookkeeping, not knowledge attributed to the server.
+    Who can read an encrypted message is not kept here: each ``SessionKey``
+    carries its scope, and the network reads it from the key a message is
+    sent under.
     """
 
     def __init__(self, bank: KeyBank) -> None:
         self.bank = bank
-        self.round_no = 0
         self._permutations: dict[int, Permutation] = {}
         self._keyrings: dict[int, SourceKeyring] = {}
-        self._holders: dict[str, frozenset[int]] = {}
 
     # -- provisioning ------------------------------------------------------
 
@@ -259,24 +255,15 @@ class KeyDirectory:
     # -- per-round session keys -------------------------------------------
 
     def begin_round(self, round_no: int) -> None:
-        """Drop every session key of the previous round, so the possession
-        registry holds one round's keys at most."""
-        self.round_no = round_no
-        self._holders.clear()
+        """Drop every session key of the previous round."""
         for keyring in self._keyrings.values():
             keyring.begin_round(round_no)
 
-    def resolve_aggregator_key(self, source_id: int, index: int) -> SessionKey:
-        """Server side of index announcement: look the index up in the stored
-        permutation and activate the session key it selects."""
+    def resolve_aggregator_key(self, source_id: int, index: int) -> int:
+        """Server side of index announcement: the key value the index selects
+        through the source's stored permutation."""
         perm = self.aggregator_permutation(source_id)
-        key = SessionKey(
-            value=self.bank.aggregator_keys[perm.slot(index)],
-            key_id=f"agg:c{source_id}:r{self.round_no}",
-            scope=frozenset({source_id, SERVER}),
-        )
-        self._holders[key.key_id] = key.scope
-        return key
+        return self.bank.aggregator_keys[perm.slot(index)]
 
     def establish_pairwise_key(
         self, a: int, b: int, rng: random.Random
@@ -303,26 +290,14 @@ class KeyDirectory:
         lo, hi = sorted((a, b))
         key = SessionKey(
             value=value,
-            key_id=f"pair:c{lo}:c{hi}:r{self.round_no}",
+            key_id=f"pair:c{lo}:c{hi}:r{ring_a.round_no}",
             scope=frozenset({a, b}),
         )
         ring_a.pair_sessions[b] = key
         ring_b.pair_sessions[a] = key
-        self._holders[key.key_id] = key.scope
         return PairwiseExchange(
-            initiator=a,
-            responder=b,
             initiator_perm=perm_a,
             responder_perm=perm_b,
             index=index,
             key=key,
         )
-
-    # -- possession registry ----------------------------------------------
-
-    def holders(self, key_id: str) -> frozenset[int]:
-        """Principals possessing the given session key."""
-        try:
-            return self._holders[key_id]
-        except KeyError:
-            raise KeyingError(f"unknown key id {key_id!r}") from None

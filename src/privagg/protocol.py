@@ -30,7 +30,7 @@ from enum import Enum
 from itertools import filterfalse
 from typing import TYPE_CHECKING
 
-from .keying import SERVER, Permutation
+from .keying import SERVER, Permutation, SessionKey
 from .masking import chain_add, mask_initial, unmask
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -192,32 +192,21 @@ class RoundRunner:
 
     def establish_sessions(self) -> None:
         """Open the next round; each source announces a fresh plaintext index
-        into its permuted server bank and both ends activate the session key
-        it selects."""
+        into its permuted server bank and activates the session key it
+        selects, which the server finds through its stored permutation."""
         self.network.begin_round()
         for sid in self.sources:
             keyring = self.directory.keyring(sid)
             index, source_key = keyring.select_aggregator_key(self.keying_rng)
-            self._send(MessageKind.KEY_INDEX_ANNOUNCE, sid, SERVER, index, None)
-            server_key = self.directory.resolve_aggregator_key(sid, index)
-            if server_key.value != source_key.value:
+            self.network.deliver(MessageKind.KEY_INDEX_ANNOUNCE, sid, SERVER, index)
+            if self.directory.resolve_aggregator_key(sid, index) != source_key.value:
                 raise ProtocolError("session key mismatch between endpoints")
 
-    def _agg_key_id(self, sid: int) -> str:
+    def _agg_key(self, sid: int) -> SessionKey:
         key = self.directory.keyring(sid).aggregator_session
         if key is None:
             raise ProtocolError(f"source {sid} has no server session key")
-        return key.key_id
-
-    def _send(
-        self,
-        kind: MessageKind,
-        sender: int,
-        receiver: int,
-        payload: object = None,
-        key_id: str | None = None,
-    ) -> None:
-        self.network.deliver(Message(kind, sender, receiver, payload, key_id))
+        return key
 
     # -- round phases ---------------------------------------------------------
 
@@ -230,12 +219,12 @@ class RoundRunner:
         else:
             initiator = self.rng.choice(self.sources)
         self.initiator = initiator
-        self._send(
+        self.network.deliver(
             MessageKind.INITIATE_ROUND,
             SERVER,
             initiator,
             None,
-            self._agg_key_id(initiator),
+            self._agg_key(initiator),
         )
         return initiator
 
@@ -244,12 +233,12 @@ class RoundRunner:
         self.participated.add(node_id)
         self.visitation.append(node_id)
         report = self.network.topology.sorted_neighbors(node_id)
-        self._send(
+        self.network.deliver(
             MessageKind.NEIGHBOR_REPORT,
             node_id,
             SERVER,
             report,
-            self._agg_key_id(node_id),
+            self._agg_key(node_id),
         )
         return report
 
@@ -297,13 +286,14 @@ class RoundRunner:
         if b in self.directory.keyring(a).pair_sessions:
             return
         exchange = self.directory.establish_pairwise_key(a, b, self.keying_rng)
-        key_a = self._agg_key_id(a)
-        key_b = self._agg_key_id(b)
-        self._send(MessageKind.PERMUTE_EXCHANGE, a, SERVER, exchange.initiator_perm, key_a)
-        self._send(MessageKind.PERMUTE_EXCHANGE, SERVER, b, exchange.initiator_perm, key_b)
-        self._send(MessageKind.PERMUTE_EXCHANGE, b, SERVER, exchange.responder_perm, key_b)
-        self._send(MessageKind.PERMUTE_EXCHANGE, SERVER, a, exchange.responder_perm, key_a)
-        self._send(MessageKind.KEY_INDEX_ANNOUNCE, a, b, exchange.index, None)
+        key_a = self._agg_key(a)
+        key_b = self._agg_key(b)
+        deliver = self.network.deliver
+        deliver(MessageKind.PERMUTE_EXCHANGE, a, SERVER, exchange.initiator_perm, key_a)
+        deliver(MessageKind.PERMUTE_EXCHANGE, SERVER, b, exchange.initiator_perm, key_b)
+        deliver(MessageKind.PERMUTE_EXCHANGE, b, SERVER, exchange.responder_perm, key_b)
+        deliver(MessageKind.PERMUTE_EXCHANGE, SERVER, a, exchange.responder_perm, key_a)
+        deliver(MessageKind.KEY_INDEX_ANNOUNCE, a, b, exchange.index)
 
     def forward_masked(self, sender_id: int, receiver_id: int, value: int) -> None:
         """Pass the running masked value over a direct link.
@@ -317,20 +307,20 @@ class RoundRunner:
                 f"no pairwise key between {node_label(sender_id)} and "
                 f"{node_label(receiver_id)}"
             )
-        self._send(
-            MessageKind.MASKED_FORWARD, sender_id, receiver_id, value, key.key_id
+        self.network.deliver(
+            MessageKind.MASKED_FORWARD, sender_id, receiver_id, value, key
         )
 
     def _relay_via_server(self, sender_id: int, receiver_id: int, value: int) -> None:
-        self._send(
-            MessageKind.RELAY_UP, sender_id, SERVER, value, self._agg_key_id(sender_id)
+        self.network.deliver(
+            MessageKind.RELAY_UP, sender_id, SERVER, value, self._agg_key(sender_id)
         )
-        self._send(
+        self.network.deliver(
             MessageKind.RELAY_DOWN,
             SERVER,
             receiver_id,
             value,
-            self._agg_key_id(receiver_id),
+            self._agg_key(receiver_id),
         )
 
     def _receive_chain_value(
@@ -349,32 +339,34 @@ class RoundRunner:
             raise ProtocolError("start_round must run before finalize_round")
         if self.mask is None:
             raise ProtocolError("initiator_begin must run before finalize_round")
-        self._send(
+        self.network.deliver(
             MessageKind.NEXT_HOP_DIRECTIVE,
             SERVER,
             last_id,
             SERVER,
-            self._agg_key_id(last_id),
+            self._agg_key(last_id),
         )
-        self._send(
+        self.network.deliver(
             MessageKind.FINAL_MASKED_VALUE,
             last_id,
             SERVER,
             value,
-            self._agg_key_id(last_id),
+            self._agg_key(last_id),
         )
-        initiator_key = self._agg_key_id(initiator)
-        self._send(
+        initiator_key = self._agg_key(initiator)
+        self.network.deliver(
             MessageKind.COMPUTE_SUM_DIRECTIVE, SERVER, initiator, value, initiator_key
         )
         total = unmask(value, self.mask, self.modulus)
         if self.defense_enabled and total == self.values[initiator - 1]:
-            self._send(
+            self.network.deliver(
                 MessageKind.OPERATION_REFUSED, initiator, SERVER, None, initiator_key
             )
             outcome, total, reason = RoundOutcome.REFUSED, None, REFUSAL_TEXT
         else:
-            self._send(MessageKind.SUM_REPORT, initiator, SERVER, total, initiator_key)
+            self.network.deliver(
+                MessageKind.SUM_REPORT, initiator, SERVER, total, initiator_key
+            )
             outcome, reason = RoundOutcome.SUM, None
         return RoundResult(
             outcome=outcome,
@@ -395,12 +387,12 @@ class RoundRunner:
                 jump = nxt is None
                 if jump:
                     nxt = self.server_relay_jump_choice()
-                self._send(
+                self.network.deliver(
                     MessageKind.NEXT_HOP_DIRECTIVE,
                     SERVER,
                     holder,
                     nxt,
-                    self._agg_key_id(holder),
+                    self._agg_key(holder),
                 )
                 if jump or self.mode == "strict-relay":
                     self._relay_via_server(holder, nxt, value)

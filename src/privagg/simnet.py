@@ -9,8 +9,9 @@ depends on the route: encrypted payloads are readable by key holders only).
 
 Every delivery appends one trace event carrying the message, the key it was
 encrypted under (or a plaintext marker), and the exact set of principals able
-to read it.  A transcript is a pure function of the scenario configuration
-and seed: replaying the same seed reproduces it byte for byte.
+to read it: the scope of that key, or every principal for plaintext.  A
+transcript is a pure function of the scenario configuration and seed:
+replaying the same seed reproduces it byte for byte.
 """
 
 from __future__ import annotations
@@ -22,10 +23,11 @@ from dataclasses import dataclass, field
 from itertools import compress, repeat, starmap
 from operator import attrgetter
 
-from .keying import SERVER, KeyBank, KeyBankConfig, KeyDirectory
+from .keying import SERVER, KeyBank, KeyBankConfig, KeyDirectory, SessionKey
 from .protocol import (
     MODES,
     Message,
+    MessageKind,
     NodeLabels,
     RoundResult,
     RoundRunner,
@@ -45,6 +47,39 @@ class ConfigError(Exception):
     def __init__(self, fieldname: str, message: str) -> None:
         super().__init__(f"field {fieldname!r}: {message}")
         self.fieldname = fieldname
+
+
+def parse_number(key: str, raw: str, kind: type = int):
+    """``raw`` as an int (or ``kind``), or a ``ConfigError`` naming ``key``."""
+    try:
+        return kind(raw)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(key, f"expected {noun}, got {raw!r}") from None
+
+
+def parse_adversary(spec: str) -> tuple[str, int | float | None]:
+    """Split an adversary spec into its kind and its parameter.
+
+    ``none``, ``probe`` and ``probe_ablation`` take no parameter,
+    ``collusion[:ID]`` an optional target id and ``link:B`` a required
+    break probability in [0, 1].
+    """
+    kind, colon, raw = spec.partition(":")
+    if kind not in ADVERSARY_KINDS:
+        raise ConfigError("adversary", f"unknown adversary {spec!r}")
+    if kind == "link":
+        if not colon:
+            raise ConfigError("adversary", "link model needs a probability: link:B")
+        b = parse_number("adversary", raw, float)
+        if not 0.0 <= b <= 1.0:  # also rejects NaN
+            raise ConfigError("adversary", f"link probability {raw!r} not in [0, 1]")
+        return kind, b
+    if not colon:
+        return kind, None
+    if kind == "collusion":
+        return kind, parse_number("adversary", raw)
+    raise ConfigError("adversary", f"{kind} takes no parameter, got {spec!r}")
 
 
 class Topology:
@@ -217,19 +252,21 @@ class TraceEvent:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class Transcript:
     """Ordered trace of one scenario run, replayable from its seed.
 
-    ``run_scenario`` fixes ``events`` as a tuple once the run ends, so the
-    per-round chain indexes the attacks cache in ``_chain_indexes`` (round
-    number to index, built on the first attack) never see them change.
+    ``run_scenario`` builds it once, when the run ends, and it never
+    changes, so the per-round chain indexes the attacks cache in
+    ``_chain_indexes`` (round number to index, built on the first attack)
+    stay valid.  A copy made with ``dataclasses.replace`` starts with no
+    cached index.
     """
 
     seed: int
     modulus: int
-    events: tuple[TraceEvent, ...] = ()
-    results: list[RoundResult] = field(default_factory=list)
+    events: tuple[TraceEvent, ...]
+    results: tuple[RoundResult, ...]
     _chain_indexes: dict[int, object] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
@@ -276,17 +313,27 @@ class Network:
         self.round_no += 1
         self.directory.begin_round(self.round_no)
 
-    def deliver(self, message: Message) -> TraceEvent:
-        sender, receiver = message.sender, message.receiver
+    def deliver(
+        self,
+        kind: MessageKind,
+        sender: int,
+        receiver: int,
+        payload: object = None,
+        key: SessionKey | None = None,
+    ) -> TraceEvent:
+        """Send a message under ``key``, readable by the key's scope, or in
+        plaintext, readable by every principal, when ``key`` is None."""
         if sender != SERVER and receiver != SERVER:
             if not self.topology.has_edge(sender, receiver):
                 raise NoLinkError(
                     f"no link between {node_label(sender)} and {node_label(receiver)}"
                 )
-        if message.key_id is None:
+        if key is None:
+            message = Message(kind, sender, receiver, payload)
             readable = self._all_principals
         else:
-            readable = self.directory.holders(message.key_id)
+            message = Message(kind, sender, receiver, payload, key.key_id)
+            readable = key.scope
         event = TraceEvent(
             step=self._step,
             round_no=self.round_no,
@@ -353,9 +400,7 @@ class ScenarioConfig:
             raise ConfigError("p", "edge probability must be in [0, 1]")
         if self.mode not in MODES:
             raise ConfigError("mode", f"must be one of {MODES}")
-        kind = self.adversary.split(":", 1)[0]
-        if kind not in ADVERSARY_KINDS:
-            raise ConfigError("adversary", f"unknown adversary {self.adversary!r}")
+        parse_adversary(self.adversary)
         if self.rounds < 1:
             raise ConfigError("rounds", "must be >= 1")
         if self.force_initiator is not None and not (
@@ -396,7 +441,7 @@ def run_scenario(config: ScenarioConfig) -> Transcript:
     network = Network(topology, directory)
     probe = config.adversary in ("probe", "probe_ablation")
     defense = config.adversary != "probe_ablation"
-    transcript = Transcript(seed=config.seed, modulus=config.modulus)
+    results = []
     for round_no in range(1, config.rounds + 1):
         runner = RoundRunner(
             network=network,
@@ -410,7 +455,8 @@ def run_scenario(config: ScenarioConfig) -> Transcript:
             force_initiator=config.force_initiator,
             force_initial_mask=config.force_initial_mask,
         )
-        transcript.results.append(runner.run())
-    transcript.events = tuple(network.events)
-    return transcript
+        results.append(runner.run())
+    return Transcript(
+        config.seed, config.modulus, tuple(network.events), tuple(results)
+    )
 

@@ -168,7 +168,9 @@ def test_server_probe_requires_probe_scenario():
 def test_server_probe_without_sum_raises(monkeypatch):
     config = replace(PATH_CHAIN, adversary="probe_ablation")
     transcript = run_scenario(config)
-    transcript.results[-1] = replace(transcript.result, total=None)
+    transcript = replace(
+        transcript, results=(replace(transcript.result, total=None),)
+    )
     assert transcript.result.outcome is RoundOutcome.SUM
     monkeypatch.setattr(adversary, "run_scenario", lambda _config: transcript)
     with pytest.raises(ProtocolError, match="without a sum"):
@@ -385,13 +387,26 @@ def test_chain_hops_reads_the_requested_round():
         assert {e.round_no for e in events} == {round_no}
 
 
+@pytest.mark.parametrize("round_index", [3, -4])
+def test_out_of_range_round_index_raises_after_caching(round_index):
+    transcript = run_scenario(
+        ScenarioConfig(n_sources=5, modulus=2**20, value_range=(0, 99), rounds=3)
+    )
+    for cached in range(3):
+        links_used(transcript, cached)
+    with pytest.raises(IndexError):
+        links_used(transcript, round_index)
+    with pytest.raises(IndexError):
+        chain_hops(transcript, round_index)
+
+
 def test_replaced_round_result_rebuilds_the_index(round_event_calls):
     transcript = ordered_chain_transcript()
     target = transcript.result.visitation[1]
     assert run_collusion_attack(transcript, target).success
-    transcript.results[-1] = replace(
-        transcript.result, visitation=transcript.result.visitation[:1]
-    )
+    cut = replace(transcript.result, visitation=transcript.result.visitation[:1])
+    replaced = replace(transcript, results=(cut,))
     with pytest.raises(AttackNotApplicableError, match="did not participate"):
-        run_collusion_attack(transcript, target)
+        run_collusion_attack(replaced, target)
+    assert run_collusion_attack(transcript, target).success
     assert round_event_calls == [1, 1]

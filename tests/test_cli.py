@@ -90,6 +90,17 @@ def test_run_malformed_probability_names_field(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error: field 'p': ")
 
 
+@pytest.mark.parametrize("spec", ["probe:7", "none:x", "link:abc", "link:2"])
+def test_run_malformed_adversary_names_field(tmp_path, capsys, spec):
+    path = tmp_path / "bad.cfg"
+    path.write_text(THREE_NODE_CONFIG + f"adversary = {spec}\n")
+    out = tmp_path / "t.log"
+    code = main(["run", "--config", str(path), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("config error: field 'adversary': ")
+    assert not out.exists()
+
+
 def test_exit_codes_cover_every_outcome():
     assert set(_EXIT_BY_OUTCOME) == set(RoundOutcome)
 
@@ -165,6 +176,15 @@ def test_attack_link_probability_out_of_range_names_field(config_path, capsys, m
     code = main(["attack", "--config", config_path, "--model", model])
     assert code == 1
     assert "'adversary'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model", ["probe:7", "none:x", "probe_ablation:1", "link"])
+def test_attack_model_with_bad_parameter_names_field(config_path, capsys, model):
+    code = main(["attack", "--config", config_path, "--model", model])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: field 'adversary': ")
+    assert captured.out == ""
 
 
 def test_attack_requires_model(config_path, capsys):

@@ -11,7 +11,6 @@ from privagg.keying import (
     KeyBank,
     KeyBankConfig,
     KeyDirectory,
-    KeyingError,
     PairEstablishmentError,
     Permutation,
     UnknownSourceError,
@@ -107,7 +106,7 @@ def test_select_resolve_round_trip_exhaustive():
     keyring = directory.keyring(1)
     for index in range(1, 9):  # bank size 12 - 4 = 8
         assert (
-            directory.resolve_aggregator_key(1, index).value
+            directory.resolve_aggregator_key(1, index)
             == keyring.aggregator_key_at(index)
         )
 
@@ -120,7 +119,7 @@ def test_select_draws_index_in_range():
     for _ in range(200):
         index, key = directory.keyring(1).select_aggregator_key(rng)
         assert 1 <= index <= 70
-        assert key.value == directory.resolve_aggregator_key(1, index).value
+        assert key.value == directory.resolve_aggregator_key(1, index)
 
 
 def test_same_index_different_sources_different_keys():
@@ -130,8 +129,8 @@ def test_same_index_different_sources_different_keys():
     directory.begin_round(1)
     # orderings differ (seeds distinct), so some index must map to
     # different keys; with 70 keys the first index almost surely does
-    k1 = directory.resolve_aggregator_key(1, 1).value
-    k2 = directory.resolve_aggregator_key(2, 1).value
+    k1 = directory.resolve_aggregator_key(1, 1)
+    k2 = directory.resolve_aggregator_key(2, 1)
     assert k1 != k2
 
 
@@ -251,7 +250,7 @@ def test_sessions_dropped_between_rounds():
     assert directory.keyring(1).aggregator_session is None
 
 
-def test_holders_keep_only_the_current_round():
+def test_session_keys_belong_to_their_round():
     network = build_network(complete_topology(4), seed=16)
     for round_no in range(1, 4):
         RoundRunner(
@@ -261,17 +260,17 @@ def test_holders_keep_only_the_current_round():
             rng=random.Random(f"round:{round_no}"),
             keying_rng=random.Random(f"keying:{round_no}"),
         ).run()
-    directory = network.directory
-    for old in ("agg:c1:r1", "agg:c1:r2"):
-        with pytest.raises(KeyingError):
-            directory.holders(old)
-    assert directory.holders("agg:c1:r3") == frozenset({0, 1})
-    current = {
-        e.message.key_id
-        for e in network.events
-        if e.round_no == 3 and e.message.key_id is not None
-    }
-    assert set(directory._holders) == current
+    keyed = [e for e in network.events if e.message.key_id is not None]
+    assert {e.round_no for e in keyed} == {1, 2, 3}
+    for event in keyed:
+        assert event.message.key_id.endswith(f":r{event.round_no}")
+    held = set()
+    for sid in network.topology.sources():
+        keyring = network.directory.keyring(sid)
+        held.add(keyring.aggregator_session.key_id)
+        held.update(key.key_id for key in keyring.pair_sessions.values())
+    assert "agg:c1:r3" in held
+    assert all(key_id.endswith(":r3") for key_id in held)
 
 
 def test_pairwise_key_value_reads_composed_slot():

@@ -17,6 +17,7 @@ from privagg.simnet import (
     Topology,
     TraceEvent,
     generate_topology,
+    parse_adversary,
 )
 
 
@@ -129,24 +130,34 @@ def test_delivery_between_unlinked_sources_rejected():
     runner, network = build_round(path_topology(3), (1, 2, 3), 16)
     runner.establish_sessions()
     with pytest.raises(NoLinkError):
-        network.deliver(Message(MessageKind.KEY_INDEX_ANNOUNCE, 1, 3, 1, None))
+        network.deliver(MessageKind.KEY_INDEX_ANNOUNCE, 1, 3, 1)
+    assert len(network.events) == 3  # only the index announcements
 
 
 def test_confidentiality_soundness():
-    # a principal reads an event iff it is plaintext or holds the key
+    # a principal reads an event iff it is plaintext or holds the key: the
+    # two sources of a pair key, or one source and the server
     runner, network = build_round(
         complete_topology(4), (1, 2, 3, 4), 64, force_initiator=2
     )
     runner.run()
     principals = network.topology.principals()
+    kinds = set()
     for event in network.events:
-        key_id = event.message.key_id
-        if key_id is None:
+        msg = event.message
+        kind = "plain" if msg.key_id is None else msg.key_id.split(":", 1)[0]
+        kinds.add(kind)
+        if kind == "plain":
             assert event.readable_by == principals
+        elif kind == "pair":
+            assert event.readable_by == {msg.sender, msg.receiver}
+            assert SERVER not in event.readable_by
         else:
-            assert event.readable_by == network.directory.holders(key_id)
-            assert event.message.sender in event.readable_by
-            assert event.message.receiver in event.readable_by
+            assert kind == "agg"
+            source = msg.receiver if msg.sender == SERVER else msg.sender
+            assert msg.key_id.startswith(f"agg:c{source}:")
+            assert event.readable_by == {source, SERVER}
+    assert kinds == {"plain", "pair", "agg"}
 
 
 def test_scenario_sum_outcome():
@@ -293,6 +304,59 @@ def test_config_validation_names_bad_field(changes, field):
     with pytest.raises(ConfigError) as exc_info:
         ScenarioConfig(**base).validate()
     assert exc_info.value.fieldname == field
+
+
+@pytest.mark.parametrize(
+    "spec, parsed",
+    [
+        ("none", ("none", None)),
+        ("probe", ("probe", None)),
+        ("probe_ablation", ("probe_ablation", None)),
+        ("collusion", ("collusion", None)),
+        ("collusion:2", ("collusion", 2)),
+        ("link:0", ("link", 0.0)),
+        ("link:0.25", ("link", 0.25)),
+    ],
+)
+def test_adversary_spec_parses(spec, parsed):
+    assert parse_adversary(spec) == parsed
+    ScenarioConfig(n_sources=3, modulus=16, values=(1, 2, 3), adversary=spec).validate()
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "probe:7",
+        "none:x",
+        "probe_ablation:1",
+        "collusion:",
+        "collusion:x",
+        "link",
+        "link:",
+        "link:abc",
+        "link:1.5",
+        "link:nan",
+        "mitm:1",
+    ],
+)
+def test_adversary_spec_rejects_bad_parameter(spec):
+    config = ScenarioConfig(n_sources=3, modulus=16, values=(1, 2, 3), adversary=spec)
+    with pytest.raises(ConfigError) as exc_info:
+        config.validate()
+    assert exc_info.value.fieldname == "adversary"
+
+
+def test_transcript_is_built_once_and_frozen():
+    transcript = run_scenario(
+        ScenarioConfig(n_sources=4, modulus=64, values=(1, 2, 3, 4), rounds=2)
+    )
+    assert isinstance(transcript.events, tuple)
+    assert isinstance(transcript.results, tuple)
+    assert len(transcript.results) == 2
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        transcript.events = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        transcript.results = ()
 
 
 def test_round_events_matches_linear_scan():
