@@ -133,7 +133,7 @@ def _write_output(text: str, out: str | None) -> None:
 def cmd_run(args: argparse.Namespace) -> int:
     config = load_config(args.config, args.seed)
     transcript = run_scenario(config)
-    transcript.write(args.out)
+    _write_output(transcript.serialize(), args.out)
     result = transcript.result
     total = "" if result.total is None else str(result.total)
     print(f"{result.outcome.value},{total},{len(transcript.results)}")

@@ -1,15 +1,16 @@
 """Server-orchestrated ring secure-sum over a simulated sensor network.
 
-One aggregation round proceeds as a sequential chain.  The server picks an
-initiator uniformly at random; the initiator draws a secret mask, folds its
-own value in, and reports its neighborhood.  The server then repeatedly picks
-the next hop uniformly among the current holder's not-yet-participated
-neighbors and the masked running total moves there, either over a direct
-source-to-source link under a freshly established pairwise key, or (when the
-neighborhood is exhausted, or always in strict-relay mode) up to the server
-and back down to the chosen node under the endpoints' server session keys.
-Once every source has contributed, the last holder hands the final masked
-value to the server, which sends it to the initiator to unmask and report.
+``RoundRunner.run`` is one aggregation round, a single sequential chain.
+The server picks an initiator uniformly at random; the initiator draws a
+secret mask, folds its own value in, and reports its neighborhood.  The
+server then repeatedly picks the next hop uniformly among the current
+holder's not-yet-participated neighbors and the masked running total moves
+there, either over a direct source-to-source link under a freshly
+established pairwise key, or (when the neighborhood is exhausted, or always
+in strict-relay mode) up to the server and back down to the chosen node
+under the endpoints' server session keys.  Once every source has
+contributed, the last holder hands the final masked value to the server,
+which sends it to the initiator to unmask and report.
 
 The initiator refuses to report whenever the unmasked total equals its own
 private value: a server that terminates the chain immediately after
@@ -43,10 +44,6 @@ MODES = ("direct", "strict-relay")
 
 class ProtocolError(Exception):
     """A protocol contract was violated."""
-
-
-class MissingPairwiseKeyError(ProtocolError):
-    """Direct forward attempted without an established pairwise key."""
 
 
 class MessageKind(Enum):
@@ -144,9 +141,13 @@ class RoundResult:
 class RoundRunner:
     """Drives one aggregation round as a deterministic sequential machine.
 
-    The runner plays both the server's orchestration and the node handlers,
-    and is the only owner of round state: who has joined, in what order,
-    and the initiator's mask.  Sources and neighborhoods come from
+    ``run`` is the round: the server picks the initiator, the initiator
+    masks its value, the running value moves hop by hop and the initiator
+    unmasks the sum.  The initiator, its mask, the holder and the running
+    value are locals of ``run``; the runner keeps only who has joined and in
+    what order, so a second ``run`` raises ``ProtocolError`` when the
+    initiator joins again.  The runner plays both the server's orchestration
+    and the node handlers.  Sources and neighborhoods come from
     ``network.topology``, keys from ``network.directory``; ``values[sid - 1]``
     is source ``sid``'s private value.  Every message goes through
     ``network.deliver`` so the transcript captures the complete wire picture.
@@ -172,6 +173,8 @@ class RoundRunner:
             raise ProtocolError(
                 f"expected {len(self.sources)} values, got {len(values)}"
             )
+        if force_initiator is not None and force_initiator not in self.sources:
+            raise ProtocolError(f"forced initiator {force_initiator} unknown")
         self.network = network
         self.directory = network.directory
         self.values = tuple(values)
@@ -185,8 +188,6 @@ class RoundRunner:
         self.force_initial_mask = force_initial_mask
         self.participated: set[int] = set()
         self.visitation: list[int] = []
-        self.initiator: int | None = None
-        self.mask: int | None = None  # initiator only; never transmitted
 
     # -- session establishment ----------------------------------------------
 
@@ -208,28 +209,33 @@ class RoundRunner:
             raise ProtocolError(f"source {sid} has no server session key")
         return key
 
-    # -- round phases ---------------------------------------------------------
+    def _pairwise_key(self, a: int, b: int) -> SessionKey:
+        """The pair's session key, established on its first use this round.
 
-    def start_round(self) -> int:
-        """Server picks the initiator uniformly and signals it."""
-        if self.force_initiator is not None:
-            if self.force_initiator not in self.sources:
-                raise ProtocolError(f"forced initiator {self.force_initiator} unknown")
-            initiator = self.force_initiator
-        else:
-            initiator = self.rng.choice(self.sources)
-        self.initiator = initiator
-        self.network.deliver(
-            MessageKind.INITIATE_ROUND,
-            SERVER,
-            initiator,
-            None,
-            self._agg_key(initiator),
-        )
-        return initiator
+        Each endpoint's ordering of the source-to-source bank travels through
+        the server under that endpoint's server session key; the selecting
+        index is announced in plaintext, useless without the orderings.
+        """
+        key = self.directory.keyring(a).pair_sessions.get(b)
+        if key is not None:
+            return key
+        exchange = self.directory.establish_pairwise_key(a, b, self.keying_rng)
+        key_a = self._agg_key(a)
+        key_b = self._agg_key(b)
+        deliver = self.network.deliver
+        deliver(MessageKind.PERMUTE_EXCHANGE, a, SERVER, exchange.initiator_perm, key_a)
+        deliver(MessageKind.PERMUTE_EXCHANGE, SERVER, b, exchange.initiator_perm, key_b)
+        deliver(MessageKind.PERMUTE_EXCHANGE, b, SERVER, exchange.responder_perm, key_b)
+        deliver(MessageKind.PERMUTE_EXCHANGE, SERVER, a, exchange.responder_perm, key_a)
+        deliver(MessageKind.KEY_INDEX_ANNOUNCE, a, b, exchange.index)
+        return exchange.key
+
+    # -- round steps ----------------------------------------------------------
 
     def _join_chain(self, node_id: int) -> tuple[int, ...]:
         """Record the node as the next contributor; it reports its neighborhood."""
+        if node_id in self.participated:
+            raise ProtocolError(f"{node_label(node_id)} asked to participate twice")
         self.participated.add(node_id)
         self.visitation.append(node_id)
         report = self.network.topology.sorted_neighbors(node_id)
@@ -241,21 +247,6 @@ class RoundRunner:
             self._agg_key(node_id),
         )
         return report
-
-    def initiator_begin(self) -> tuple[int, tuple[int, ...]]:
-        """Initiator masks its value and reports its neighborhood.
-
-        The mask is drawn uniformly from [0, modulus), retained only at the
-        initiator, and never transmitted.
-        """
-        if self.initiator is None:
-            raise ProtocolError("start_round must run before initiator_begin")
-        if self.force_initial_mask is not None:
-            self.mask = self.force_initial_mask
-        else:
-            self.mask = self.rng.randrange(self.modulus)
-        first = mask_initial(self.values[self.initiator - 1], self.mask, self.modulus)
-        return first, self._join_chain(self.initiator)
 
     def server_select_next(self, reported: tuple[int, ...]) -> int | None:
         """Uniform choice among reported neighbors not yet participated.
@@ -276,97 +267,26 @@ class RoundRunner:
             raise ProtocolError("relay jump requested but every source participated")
         return self.rng.choice(candidates)
 
-    def _ensure_pairwise(self, a: int, b: int) -> None:
-        """Run the relayed pairwise establishment if the pair has no key yet.
-
-        Each endpoint's ordering of the source-to-source bank travels through
-        the server under that endpoint's server session key; the selecting
-        index is announced in plaintext, useless without the orderings.
-        """
-        if b in self.directory.keyring(a).pair_sessions:
-            return
-        exchange = self.directory.establish_pairwise_key(a, b, self.keying_rng)
-        key_a = self._agg_key(a)
-        key_b = self._agg_key(b)
-        deliver = self.network.deliver
-        deliver(MessageKind.PERMUTE_EXCHANGE, a, SERVER, exchange.initiator_perm, key_a)
-        deliver(MessageKind.PERMUTE_EXCHANGE, SERVER, b, exchange.initiator_perm, key_b)
-        deliver(MessageKind.PERMUTE_EXCHANGE, b, SERVER, exchange.responder_perm, key_b)
-        deliver(MessageKind.PERMUTE_EXCHANGE, SERVER, a, exchange.responder_perm, key_a)
-        deliver(MessageKind.KEY_INDEX_ANNOUNCE, a, b, exchange.index)
-
-    def forward_masked(self, sender_id: int, receiver_id: int, value: int) -> None:
-        """Pass the running masked value over a direct link.
-
-        Requires an established pairwise key; the runner's main loop always
-        establishes one first.
-        """
-        key = self.directory.keyring(sender_id).pair_sessions.get(receiver_id)
-        if key is None:
-            raise MissingPairwiseKeyError(
-                f"no pairwise key between {node_label(sender_id)} and "
-                f"{node_label(receiver_id)}"
-            )
-        self.network.deliver(
-            MessageKind.MASKED_FORWARD, sender_id, receiver_id, value, key
-        )
-
-    def _relay_via_server(self, sender_id: int, receiver_id: int, value: int) -> None:
-        self.network.deliver(
-            MessageKind.RELAY_UP, sender_id, SERVER, value, self._agg_key(sender_id)
-        )
-        self.network.deliver(
-            MessageKind.RELAY_DOWN,
-            SERVER,
-            receiver_id,
-            value,
-            self._agg_key(receiver_id),
-        )
-
-    def _receive_chain_value(
-        self, node_id: int, value: int
-    ) -> tuple[int, tuple[int, ...]]:
-        """Node folds its own value in and reports its neighborhood."""
-        if node_id in self.participated:
-            raise ProtocolError(f"{node_label(node_id)} asked to participate twice")
-        sent = chain_add(value, self.values[node_id - 1], self.modulus)
-        return sent, self._join_chain(node_id)
-
-    def finalize_round(self, last_id: int, value: int) -> RoundResult:
+    def finalize_round(
+        self, initiator: int, mask: int, last_id: int, value: int
+    ) -> RoundResult:
         """Collect the final masked value and have the initiator unmask it."""
-        initiator = self.initiator
-        if initiator is None:
-            raise ProtocolError("start_round must run before finalize_round")
-        if self.mask is None:
-            raise ProtocolError("initiator_begin must run before finalize_round")
-        self.network.deliver(
-            MessageKind.NEXT_HOP_DIRECTIVE,
-            SERVER,
-            last_id,
-            SERVER,
-            self._agg_key(last_id),
-        )
-        self.network.deliver(
-            MessageKind.FINAL_MASKED_VALUE,
-            last_id,
-            SERVER,
-            value,
-            self._agg_key(last_id),
-        )
+        deliver = self.network.deliver
+        last_key = self._agg_key(last_id)
+        deliver(MessageKind.NEXT_HOP_DIRECTIVE, SERVER, last_id, SERVER, last_key)
+        deliver(MessageKind.FINAL_MASKED_VALUE, last_id, SERVER, value, last_key)
         initiator_key = self._agg_key(initiator)
-        self.network.deliver(
+        deliver(
             MessageKind.COMPUTE_SUM_DIRECTIVE, SERVER, initiator, value, initiator_key
         )
-        total = unmask(value, self.mask, self.modulus)
+        total = unmask(value, mask, self.modulus)
         if self.defense_enabled and total == self.values[initiator - 1]:
-            self.network.deliver(
+            deliver(
                 MessageKind.OPERATION_REFUSED, initiator, SERVER, None, initiator_key
             )
             outcome, total, reason = RoundOutcome.REFUSED, None, REFUSAL_TEXT
         else:
-            self.network.deliver(
-                MessageKind.SUM_REPORT, initiator, SERVER, total, initiator_key
-            )
+            deliver(MessageKind.SUM_REPORT, initiator, SERVER, total, initiator_key)
             outcome, reason = RoundOutcome.SUM, None
         return RoundResult(
             outcome=outcome,
@@ -377,28 +297,41 @@ class RoundRunner:
         )
 
     def run(self) -> RoundResult:
-        """Execute a complete round and return its result."""
+        """Execute the whole round and return its result."""
         self.establish_sessions()
-        holder = self.start_round()
-        value, report = self.initiator_begin()
+        deliver = self.network.deliver
+        if self.force_initiator is not None:
+            initiator = self.force_initiator
+        else:
+            initiator = self.rng.choice(self.sources)
+        initiator_key = self._agg_key(initiator)
+        deliver(MessageKind.INITIATE_ROUND, SERVER, initiator, None, initiator_key)
+        # The mask is drawn uniformly from [0, modulus), held only by the
+        # initiator, and never transmitted.
+        if self.force_initial_mask is not None:
+            mask = self.force_initial_mask
+        else:
+            mask = self.rng.randrange(self.modulus)
+        value = mask_initial(self.values[initiator - 1], mask, self.modulus)
+        report = self._join_chain(initiator)
+        holder = initiator
         if not self.malicious_probe:
             while len(self.participated) < len(self.sources):
                 nxt = self.server_select_next(report)
                 jump = nxt is None
                 if jump:
                     nxt = self.server_relay_jump_choice()
-                self.network.deliver(
-                    MessageKind.NEXT_HOP_DIRECTIVE,
-                    SERVER,
-                    holder,
-                    nxt,
-                    self._agg_key(holder),
-                )
+                holder_key = self._agg_key(holder)
+                deliver(MessageKind.NEXT_HOP_DIRECTIVE, SERVER, holder, nxt, holder_key)
                 if jump or self.mode == "strict-relay":
-                    self._relay_via_server(holder, nxt, value)
+                    deliver(MessageKind.RELAY_UP, holder, SERVER, value, holder_key)
+                    deliver(
+                        MessageKind.RELAY_DOWN, SERVER, nxt, value, self._agg_key(nxt)
+                    )
                 else:
-                    self._ensure_pairwise(holder, nxt)
-                    self.forward_masked(holder, nxt, value)
-                value, report = self._receive_chain_value(nxt, value)
+                    key = self._pairwise_key(holder, nxt)
+                    deliver(MessageKind.MASKED_FORWARD, holder, nxt, value, key)
+                value = chain_add(value, self.values[nxt - 1], self.modulus)
+                report = self._join_chain(nxt)
                 holder = nxt
-        return self.finalize_round(holder, value)
+        return self.finalize_round(initiator, mask, holder, value)

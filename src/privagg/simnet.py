@@ -291,10 +291,6 @@ class Transcript:
         labels = NodeLabels()
         return "".join(e.line(labels) + "\n" for e in self.events)
 
-    def write(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.serialize())
-
 
 class Network:
     """Delivers messages, enforcing link existence and recording the trace."""
@@ -304,7 +300,6 @@ class Network:
         self.directory = directory
         self.events: list[TraceEvent] = []
         self.round_no = 0
-        self._step = 0
         self._all_principals = topology.principals()
 
     def begin_round(self) -> None:
@@ -335,12 +330,11 @@ class Network:
             message = Message(kind, sender, receiver, payload, key.key_id)
             readable = key.scope
         event = TraceEvent(
-            step=self._step,
+            step=len(self.events),
             round_no=self.round_no,
             message=message,
             readable_by=readable,
         )
-        self._step += 1
         self.events.append(event)
         return event
 
@@ -400,7 +394,11 @@ class ScenarioConfig:
             raise ConfigError("p", "edge probability must be in [0, 1]")
         if self.mode not in MODES:
             raise ConfigError("mode", f"must be one of {MODES}")
-        parse_adversary(self.adversary)
+        kind, target = parse_adversary(self.adversary)
+        if kind == "collusion" and target is not None and not (
+            1 <= target <= self.n_sources
+        ):
+            raise ConfigError("adversary", f"collusion target {target} not a source id")
         if self.rounds < 1:
             raise ConfigError("rounds", "must be >= 1")
         if self.force_initiator is not None and not (

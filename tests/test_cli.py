@@ -90,7 +90,18 @@ def test_run_malformed_probability_names_field(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error: field 'p': ")
 
 
-@pytest.mark.parametrize("spec", ["probe:7", "none:x", "link:abc", "link:2"])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "probe:7",
+        "none:x",
+        "link:abc",
+        "link:2",
+        "collusion:99",
+        "collusion:0",
+        "collusion:-1",
+    ],
+)
 def test_run_malformed_adversary_names_field(tmp_path, capsys, spec):
     path = tmp_path / "bad.cfg"
     path.write_text(THREE_NODE_CONFIG + f"adversary = {spec}\n")

@@ -7,12 +7,8 @@ import pytest
 from helpers import build_round, complete_topology, path_topology
 
 from privagg import ScenarioConfig, run_scenario
-from privagg.protocol import (
-    MessageKind,
-    MissingPairwiseKeyError,
-    ProtocolError,
-    RoundOutcome,
-)
+from privagg.keying import SERVER
+from privagg.protocol import MessageKind, ProtocolError, RoundOutcome
 
 
 def run_path_chain(values, modulus, seed=0, mode="direct", **kwargs):
@@ -28,26 +24,26 @@ def run_path_chain(values, modulus, seed=0, mode="direct", **kwargs):
 
 def test_start_round_single_node_is_chosen():
     runner, _ = build_round(path_topology(1), (5,), 16)
-    runner.establish_sessions()
-    assert runner.start_round() == 1
+    assert runner.run().initiator == 1
 
 
 def test_start_round_replay_deterministic():
     choices = set()
     for _ in range(3):
         runner, _ = build_round(complete_topology(5), (1,) * 5, 64, seed=11)
-        runner.establish_sessions()
-        choices.add(runner.start_round())
+        choices.add(runner.run().initiator)
     assert len(choices) == 1
 
 
 def test_start_round_uniform_over_sources():
+    # the probe round stops after the initiator joins, which keeps this fast
     counts = Counter()
     trials = 10_000
     for trial in range(trials):
-        runner, _ = build_round(complete_topology(5), (1,) * 5, 64, seed=trial)
-        runner.establish_sessions()
-        counts[runner.start_round()] += 1
+        runner, _ = build_round(
+            complete_topology(5), (1,) * 5, 64, seed=trial, malicious_probe=True
+        )
+        counts[runner.run().initiator] += 1
     for node in range(1, 6):
         assert abs(counts[node] / trials - 0.2) < 0.02
 
@@ -56,15 +52,23 @@ def test_initiator_begin_masks_and_reports():
     runner, network = build_round(
         path_topology(3), (3, 9, 14), 32, force_initiator=1, force_initial_mask=11
     )
-    runner.establish_sessions()
-    runner.start_round()
-    first, report = runner.initiator_begin()
-    assert first == 14  # (11 + 3) mod 32
-    assert report == (2,)  # adjacency of node 1 on the path
-    reports = [
-        e for e in network.events if e.message.kind is MessageKind.NEIGHBOR_REPORT
-    ]
-    assert reports[-1].message.payload == (2,)
+    runner.run()
+    first_report = next(
+        e.message for e in network.events
+        if e.message.kind is MessageKind.NEIGHBOR_REPORT
+    )
+    assert first_report.sender == 1
+    assert first_report.payload == (2,)  # adjacency of node 1 on the path
+    first_forward = next(
+        e.message for e in network.events
+        if e.message.kind is MessageKind.MASKED_FORWARD
+    )
+    assert first_forward.payload == 14  # (11 + 3) mod 32
+
+
+def test_unknown_forced_initiator_rejected_at_construction():
+    with pytest.raises(ProtocolError, match="forced initiator 5 unknown"):
+        build_round(path_topology(2), (1, 2), 16, force_initiator=5)
 
 
 def test_initial_mask_never_transmitted():
@@ -136,11 +140,49 @@ def test_strict_relay_equivalence_over_seeds():
         assert direct.result.total == strict.result.total
 
 
-def test_forward_without_pairwise_key_rejected():
-    runner, _ = build_round(path_topology(2), (1, 2), 16)
-    runner.establish_sessions()
-    with pytest.raises(MissingPairwiseKeyError):
-        runner.forward_masked(1, 2, 5)
+def test_every_forward_follows_its_pairwise_setup():
+    # each direct forward is sent under its pair's key, and the relayed
+    # establishment of that key (four PermuteExchange events, then the
+    # plaintext index) comes earlier in the same round
+    transcript = run_scenario(
+        ScenarioConfig(
+            n_sources=8,
+            modulus=2**16,
+            values=(1, 2, 3, 4, 5, 6, 7, 8),
+            seed=4,
+            edge_prob=0.5,
+            rounds=3,
+        )
+    )
+    events = transcript.events
+    exchange = MessageKind.PERMUTE_EXCHANGE
+    forwards = 0
+    for i, event in enumerate(events):
+        msg = event.message
+        if msg.kind is not MessageKind.MASKED_FORWARD:
+            continue
+        forwards += 1
+        lo, hi = sorted((msg.sender, msg.receiver))
+        assert msg.key_id == f"pair:c{lo}:c{hi}:r{event.round_no}"
+        announces = [
+            j for j in range(i)
+            if events[j].round_no == event.round_no
+            and events[j].message.kind is MessageKind.KEY_INDEX_ANNOUNCE
+            and {events[j].message.sender, events[j].message.receiver} == {lo, hi}
+        ]
+        assert len(announces) == 1
+        j = announces[0]
+        a, b = events[j].message.sender, events[j].message.receiver
+        assert [
+            (e.round_no, e.message.kind, e.message.sender, e.message.receiver)
+            for e in events[j - 4 : j]
+        ] == [
+            (event.round_no, exchange, a, SERVER),
+            (event.round_no, exchange, SERVER, b),
+            (event.round_no, exchange, b, SERVER),
+            (event.round_no, exchange, SERVER, a),
+        ]
+    assert forwards > 0
 
 
 def test_relay_jump_completes_sparse_topology():
@@ -218,13 +260,19 @@ def test_exactly_once_participation():
         assert sorted(visitation) == list(range(1, 8))
 
 
-def test_participation_guard_rejects_double_entry():
-    runner, _ = build_round(path_topology(2), (1, 2), 16, force_initiator=1)
-    runner.establish_sessions()
-    runner.start_round()
-    runner.initiator_begin()
-    with pytest.raises(ProtocolError):
-        runner._receive_chain_value(1, 3)
+def test_participation_guard_rejects_double_entry(monkeypatch):
+    runner, _ = build_round(path_topology(3), (1, 2, 3), 16, force_initiator=1)
+    # on the path 1-2-3 the lowest reported neighbour of node 2 is node 1
+    monkeypatch.setattr(runner, "server_select_next", lambda reported: reported[0])
+    with pytest.raises(ProtocolError, match="c1 asked to participate twice"):
+        runner.run()
+
+
+def test_second_run_on_same_runner_rejected():
+    runner, _ = build_round(path_topology(3), (3, 9, 14), 32)
+    assert runner.run().outcome is RoundOutcome.SUM
+    with pytest.raises(ProtocolError, match="asked to participate twice"):
+        runner.run()
 
 
 def test_mode_validation():
@@ -253,16 +301,3 @@ def test_only_index_announcements_are_plaintext():
             if event.message.key_id is None:
                 assert event.message.kind is MessageKind.KEY_INDEX_ANNOUNCE
 
-
-def test_phase_order_checked_without_assert():
-    runner, network = build_round(path_topology(3), (1, 2, 3), 16)
-    runner.establish_sessions()
-    with pytest.raises(ProtocolError, match="start_round"):
-        runner.finalize_round(1, 0)
-    with pytest.raises(ProtocolError, match="start_round"):
-        runner.initiator_begin()
-    runner.start_round()
-    sent = len(network.events)
-    with pytest.raises(ProtocolError, match="initiator_begin"):
-        runner.finalize_round(1, 0)
-    assert len(network.events) == sent  # refused before anything is sent

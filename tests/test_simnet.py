@@ -8,6 +8,7 @@ import pytest
 from helpers import build_round, check_invariants, complete_topology, path_topology
 
 from privagg import ScenarioConfig, run_scenario
+from privagg.cli import main, parse_config_text
 from privagg.keying import SERVER, SessionKey
 from privagg.protocol import MODES, Message, MessageKind, RoundOutcome
 from privagg.simnet import (
@@ -272,11 +273,12 @@ def test_serialize_matches_per_event_reference_across_transcripts():
 
 
 def test_transcript_write(tmp_path):
-    transcript = run_scenario(
-        ScenarioConfig(n_sources=2, modulus=16, values=(3, 4), seed=2)
-    )
+    text = "n_sources = 2\nmodulus = 16\nvalues = 3,4\nseed = 2\n"
+    path = tmp_path / "scenario.cfg"
+    path.write_text(text)
     out = tmp_path / "trace.log"
-    transcript.write(str(out))
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    transcript = run_scenario(parse_config_text(text))
     assert out.read_text() == transcript.serialize()
 
 
