@@ -47,18 +47,20 @@ from .simnet import (
 
 ATTACK_CSV_HEADER = "model,target,disclosed_value,true_value,exact,defense_triggered"
 
-_CONFIG_KEYS = (
-    "n_sources",
-    "modulus",
-    "values",
-    "K",
-    "k",
-    "p",
-    "seed",
-    "mode",
-    "adversary",
-    "rounds",
-)
+# Config file key -> (ScenarioConfig field, type of its value).  ``values``
+# is parsed apart, into ``values`` or ``value_range``.  Keys the file leaves
+# out keep the dataclass defaults.
+_CONFIG_FIELDS = {
+    "n_sources": ("n_sources", int),
+    "modulus": ("modulus", int),
+    "K": ("total_keys", int),
+    "k": ("source_source_keys", int),
+    "p": ("edge_prob", float),
+    "seed": ("seed", int),
+    "mode": ("mode", str),
+    "adversary": ("adversary", str),
+    "rounds": ("rounds", int),
+}
 
 _EXIT_BY_OUTCOME = {RoundOutcome.SUM: 0, RoundOutcome.REFUSED: 2}
 
@@ -84,7 +86,7 @@ def parse_config_text(text: str) -> ScenarioConfig:
             raise ConfigError(f"line {lineno}", f"expected key = value, got {line!r}")
         key, _, raw = stripped.partition("=")
         key = key.strip()
-        if key not in _CONFIG_KEYS:
+        if key != "values" and key not in _CONFIG_FIELDS:
             raise ConfigError(key, "unknown configuration key")
         if key in entries:
             raise ConfigError(key, "duplicate configuration key")
@@ -92,20 +94,12 @@ def parse_config_text(text: str) -> ScenarioConfig:
     for required in ("n_sources", "modulus", "values"):
         if required not in entries:
             raise ConfigError(required, "required key missing")
-    values, value_range = _parse_ints("values", entries["values"])
-    config = ScenarioConfig(
-        n_sources=parse_number("n_sources", entries["n_sources"]),
-        modulus=parse_number("modulus", entries["modulus"]),
-        values=values,
-        value_range=value_range,
-        total_keys=parse_number("K", entries.get("K", "100")),
-        source_source_keys=parse_number("k", entries.get("k", "30")),
-        edge_prob=parse_number("p", entries.get("p", "0.5"), float),
-        seed=parse_number("seed", entries.get("seed", "0")),
-        mode=entries.get("mode", "direct"),
-        adversary=entries.get("adversary", "none"),
-        rounds=parse_number("rounds", entries.get("rounds", "1")),
-    )
+    values, value_range = _parse_ints("values", entries.pop("values"))
+    fields = {}
+    for key, raw in entries.items():
+        name, kind = _CONFIG_FIELDS[key]
+        fields[name] = parse_number(key, raw, kind)
+    config = ScenarioConfig(values=values, value_range=value_range, **fields)
     config.validate()
     return config
 

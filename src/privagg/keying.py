@@ -16,6 +16,10 @@ under the endpoints' server session keys, and a single announced index then
 selects the key through the composition of both orderings.  A third source
 holding the raw bank but neither permutation cannot resolve the index.
 
+Keyrings and the directory hold only what provisioning installs.  Session
+keys last one round: the functions that agree them return them and keep
+nothing, and the round that asked for them holds them.
+
 Confidentiality in the simulator is possession based: a message encrypted
 under a session key is readable exactly by the principals in that key's
 scope.  No real cipher is modelled.
@@ -24,7 +28,7 @@ scope.  No real cipher is modelled.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 SERVER = 0  # distinguished principal id of the aggregator/server
 
@@ -41,10 +45,6 @@ class UnknownSourceError(KeyingError):
 
 class IndexRangeError(KeyingError):
     """Announced key index is outside the bank it addresses."""
-
-
-class PairEstablishmentError(KeyingError):
-    """Pairwise key establishment could not be completed."""
 
 
 @dataclass(frozen=True)
@@ -128,12 +128,6 @@ class Permutation:
             )
         return self.order[index - 1]
 
-    def apply(self, items: tuple[int, ...]) -> tuple[int, ...]:
-        """Reorder a canonical bank into this permutation's ordering."""
-        if len(items) != len(self.order):
-            raise ValueError("bank size does not match permutation size")
-        return tuple(items[i] for i in self.order)
-
 
 @dataclass(frozen=True, slots=True)
 class SessionKey:
@@ -161,22 +155,14 @@ def pairwise_key_value(
     return source_bank[initiator_perm.order[responder_perm.slot(index)]]
 
 
-@dataclass
+@dataclass(frozen=True)
 class SourceKeyring:
-    """Per-source key state: the permuted server bank plus the shared pool."""
+    """What provisioning gives a source: its permuted server bank and the
+    shared source-to-source pool.  Session keys belong to the round."""
 
     source_id: int
     aggregator_bank: tuple[int, ...]
     source_bank: tuple[int, ...]
-    round_no: int = 0
-    aggregator_session: SessionKey | None = None
-    pair_sessions: dict[int, SessionKey] = field(default_factory=dict)
-
-    def begin_round(self, round_no: int) -> None:
-        """Drop all session keys; they are valid for one round only."""
-        self.round_no = round_no
-        self.aggregator_session = None
-        self.pair_sessions = {}
 
     def aggregator_key_at(self, index: int) -> int:
         if not 1 <= index <= len(self.aggregator_bank):
@@ -185,15 +171,16 @@ class SourceKeyring:
             )
         return self.aggregator_bank[index - 1]
 
-    def select_aggregator_key(self, rng: random.Random) -> tuple[int, SessionKey]:
-        """Draw a fresh announced index and the session key it selects."""
+    def select_aggregator_key(
+        self, round_no: int, rng: random.Random
+    ) -> tuple[int, SessionKey]:
+        """Draw a fresh announced index and the round's session key it selects."""
         index = rng.randint(1, len(self.aggregator_bank))
         key = SessionKey(
             value=self.aggregator_key_at(index),
-            key_id=f"agg:c{self.source_id}:r{self.round_no}",
+            key_id=f"agg:c{self.source_id}:r{round_no}",
             scope=frozenset({self.source_id, SERVER}),
         )
-        self.aggregator_session = key
         return index, key
 
 
@@ -208,11 +195,12 @@ class PairwiseExchange:
 
 
 class KeyDirectory:
-    """Server-side key state: per-source permutations and active sessions.
+    """Server-side provisioning state: each source's keyring and the
+    permutation of its server bank.
 
-    Who can read an encrypted message is not kept here: each ``SessionKey``
-    carries its scope, and the network reads it from the key a message is
-    sent under.
+    Session keys are not kept here: the round that agrees them holds them.
+    Each ``SessionKey`` carries its scope, and the network reads who can
+    read a message from the key it is sent under.
     """
 
     def __init__(self, bank: KeyBank) -> None:
@@ -230,10 +218,11 @@ class KeyDirectory:
         """
         if source_id in self._permutations:
             raise KeyingError(f"source {source_id} already provisioned")
-        perm = Permutation.random(len(self.bank.aggregator_keys), rng)
+        bank = self.bank.aggregator_keys
+        perm = Permutation.random(len(bank), rng)
         keyring = SourceKeyring(
             source_id=source_id,
-            aggregator_bank=perm.apply(self.bank.aggregator_keys),
+            aggregator_bank=tuple(bank[i] for i in perm.order),
             source_bank=self.bank.source_keys,
         )
         self._permutations[source_id] = perm
@@ -254,11 +243,6 @@ class KeyDirectory:
 
     # -- per-round session keys -------------------------------------------
 
-    def begin_round(self, round_no: int) -> None:
-        """Drop every session key of the previous round."""
-        for keyring in self._keyrings.values():
-            keyring.begin_round(round_no)
-
     def resolve_aggregator_key(self, source_id: int, index: int) -> int:
         """Server side of index announcement: the key value the index selects
         through the source's stored permutation."""
@@ -266,22 +250,17 @@ class KeyDirectory:
         return self.bank.aggregator_keys[perm.slot(index)]
 
     def establish_pairwise_key(
-        self, a: int, b: int, rng: random.Random
+        self, a: int, b: int, round_no: int, rng: random.Random
     ) -> PairwiseExchange:
-        """Agree a pairwise key between sources ``a`` and ``b``.
+        """Agree a pairwise key between sources ``a`` and ``b`` for a round.
 
         Both endpoints draw a fresh ordering of the source-to-source bank,
         exchange the orderings through the server, and select the key by a
-        single announced index through the composed ordering.  Requires both
-        endpoints to hold a live server session key (the exchange is relayed,
-        never direct).
+        single announced index through the composed ordering.  The exchange
+        is relayed under the endpoints' server session keys, which the
+        caller holds.
         """
-        ring_a = self.keyring(a)
-        ring_b = self.keyring(b)
-        if ring_a.aggregator_session is None or ring_b.aggregator_session is None:
-            raise PairEstablishmentError(
-                f"sources {a} and {b} must both hold a server session key"
-            )
+        self.keyring(a), self.keyring(b)  # UnknownSourceError if unprovisioned
         size = len(self.bank.source_keys)
         perm_a = Permutation.random(size, rng)
         perm_b = Permutation.random(size, rng)
@@ -290,11 +269,9 @@ class KeyDirectory:
         lo, hi = sorted((a, b))
         key = SessionKey(
             value=value,
-            key_id=f"pair:c{lo}:c{hi}:r{ring_a.round_no}",
+            key_id=f"pair:c{lo}:c{hi}:r{round_no}",
             scope=frozenset({a, b}),
         )
-        ring_a.pair_sessions[b] = key
-        ring_b.pair_sessions[a] = key
         return PairwiseExchange(
             initiator_perm=perm_a,
             responder_perm=perm_b,

@@ -92,13 +92,13 @@ class NodeLabels(dict):
 
 @dataclass(frozen=True, slots=True)
 class Message:
-    """One typed protocol message; ``key_id`` None means plaintext."""
+    """One typed protocol message, sent under ``key``; None means plaintext."""
 
     kind: MessageKind
     sender: int
     receiver: int
     payload: object = None
-    key_id: str | None = None
+    key: SessionKey | None = None
 
     def payload_summary(self, labels: NodeLabels | None = None) -> str:
         """Payload as logged; ``labels`` lets a caller rendering many
@@ -144,12 +144,14 @@ class RoundRunner:
     ``run`` is the round: the server picks the initiator, the initiator
     masks its value, the running value moves hop by hop and the initiator
     unmasks the sum.  The initiator, its mask, the holder and the running
-    value are locals of ``run``; the runner keeps only who has joined and in
-    what order, so a second ``run`` raises ``ProtocolError`` when the
-    initiator joins again.  The runner plays both the server's orchestration
-    and the node handlers.  Sources and neighborhoods come from
-    ``network.topology``, keys from ``network.directory``; ``values[sid - 1]``
-    is source ``sid``'s private value.  Every message goes through
+    value are locals of ``run``.  The runner keeps the round's server
+    session keys (``session_keys``, by source id) and who has joined and in
+    what order, so a second ``run`` raises ``ProtocolError`` before it sends
+    anything.  A pairwise key is agreed for the one hop that uses it.  The
+    runner plays both the server's orchestration and the node handlers.
+    Sources and neighborhoods come from ``network.topology``, provisioned
+    key material from ``network.directory``; ``values[sid - 1]`` is source
+    ``sid``'s private value.  Every message goes through
     ``network.deliver`` so the transcript captures the complete wire picture.
     """
 
@@ -186,6 +188,7 @@ class RoundRunner:
         self.defense_enabled = defense_enabled
         self.force_initiator = force_initiator
         self.force_initial_mask = force_initial_mask
+        self.session_keys: dict[int, SessionKey] = {}
         self.participated: set[int] = set()
         self.visitation: list[int] = []
 
@@ -193,35 +196,34 @@ class RoundRunner:
 
     def establish_sessions(self) -> None:
         """Open the next round; each source announces a fresh plaintext index
-        into its permuted server bank and activates the session key it
-        selects, which the server finds through its stored permutation."""
+        into its permuted server bank, and the session key it selects, which
+        the server finds through its stored permutation, goes into
+        ``session_keys``."""
         self.network.begin_round()
+        round_no = self.network.round_no
         for sid in self.sources:
             keyring = self.directory.keyring(sid)
-            index, source_key = keyring.select_aggregator_key(self.keying_rng)
+            index, source_key = keyring.select_aggregator_key(
+                round_no, self.keying_rng
+            )
             self.network.deliver(MessageKind.KEY_INDEX_ANNOUNCE, sid, SERVER, index)
             if self.directory.resolve_aggregator_key(sid, index) != source_key.value:
                 raise ProtocolError("session key mismatch between endpoints")
-
-    def _agg_key(self, sid: int) -> SessionKey:
-        key = self.directory.keyring(sid).aggregator_session
-        if key is None:
-            raise ProtocolError(f"source {sid} has no server session key")
-        return key
+            self.session_keys[sid] = source_key
 
     def _pairwise_key(self, a: int, b: int) -> SessionKey:
-        """The pair's session key, established on its first use this round.
+        """Agree a session key for the hop from ``a`` to ``b``.
 
+        A chain visits each node once, so no pair is keyed twice in a round.
         Each endpoint's ordering of the source-to-source bank travels through
         the server under that endpoint's server session key; the selecting
         index is announced in plaintext, useless without the orderings.
         """
-        key = self.directory.keyring(a).pair_sessions.get(b)
-        if key is not None:
-            return key
-        exchange = self.directory.establish_pairwise_key(a, b, self.keying_rng)
-        key_a = self._agg_key(a)
-        key_b = self._agg_key(b)
+        exchange = self.directory.establish_pairwise_key(
+            a, b, self.network.round_no, self.keying_rng
+        )
+        key_a = self.session_keys[a]
+        key_b = self.session_keys[b]
         deliver = self.network.deliver
         deliver(MessageKind.PERMUTE_EXCHANGE, a, SERVER, exchange.initiator_perm, key_a)
         deliver(MessageKind.PERMUTE_EXCHANGE, SERVER, b, exchange.initiator_perm, key_b)
@@ -244,7 +246,7 @@ class RoundRunner:
             node_id,
             SERVER,
             report,
-            self._agg_key(node_id),
+            self.session_keys[node_id],
         )
         return report
 
@@ -272,10 +274,10 @@ class RoundRunner:
     ) -> RoundResult:
         """Collect the final masked value and have the initiator unmask it."""
         deliver = self.network.deliver
-        last_key = self._agg_key(last_id)
+        last_key = self.session_keys[last_id]
         deliver(MessageKind.NEXT_HOP_DIRECTIVE, SERVER, last_id, SERVER, last_key)
         deliver(MessageKind.FINAL_MASKED_VALUE, last_id, SERVER, value, last_key)
-        initiator_key = self._agg_key(initiator)
+        initiator_key = self.session_keys[initiator]
         deliver(
             MessageKind.COMPUTE_SUM_DIRECTIVE, SERVER, initiator, value, initiator_key
         )
@@ -298,14 +300,16 @@ class RoundRunner:
 
     def run(self) -> RoundResult:
         """Execute the whole round and return its result."""
+        if self.participated:
+            raise ProtocolError("this runner has already run its round")
         self.establish_sessions()
         deliver = self.network.deliver
+        keys = self.session_keys
         if self.force_initiator is not None:
             initiator = self.force_initiator
         else:
             initiator = self.rng.choice(self.sources)
-        initiator_key = self._agg_key(initiator)
-        deliver(MessageKind.INITIATE_ROUND, SERVER, initiator, None, initiator_key)
+        deliver(MessageKind.INITIATE_ROUND, SERVER, initiator, None, keys[initiator])
         # The mask is drawn uniformly from [0, modulus), held only by the
         # initiator, and never transmitted.
         if self.force_initial_mask is not None:
@@ -321,13 +325,11 @@ class RoundRunner:
                 jump = nxt is None
                 if jump:
                     nxt = self.server_relay_jump_choice()
-                holder_key = self._agg_key(holder)
+                holder_key = keys[holder]
                 deliver(MessageKind.NEXT_HOP_DIRECTIVE, SERVER, holder, nxt, holder_key)
                 if jump or self.mode == "strict-relay":
                     deliver(MessageKind.RELAY_UP, holder, SERVER, value, holder_key)
-                    deliver(
-                        MessageKind.RELAY_DOWN, SERVER, nxt, value, self._agg_key(nxt)
-                    )
+                    deliver(MessageKind.RELAY_DOWN, SERVER, nxt, value, keys[nxt])
                 else:
                     key = self._pairwise_key(holder, nxt)
                     deliver(MessageKind.MASKED_FORWARD, holder, nxt, value, key)

@@ -86,9 +86,8 @@ class Topology:
     """Undirected source graph plus the set of direct server links.
 
     The graph is held once, as one sorted tuple of neighbours per source
-    (``_peers[sid]``).  ``edges`` is derived from it in O(n + m) on each
-    access, and ``neighbors`` builds a frozenset on each call; the hot paths
-    use ``sorted_neighbors`` and ``has_edge``.
+    (``_peers[sid]``), read through ``sorted_neighbors`` and ``has_edge``.
+    ``edges`` is derived from it in O(n + m) on each access.
     """
 
     def __init__(
@@ -144,9 +143,6 @@ class Topology:
             for a, peers in self._peers.items()
             for b in peers[bisect_right(peers, a) :]
         )
-
-    def neighbors(self, source_id: int) -> frozenset[int]:
-        return frozenset(self._peers[source_id])
 
     def sorted_neighbors(self, source_id: int) -> tuple[int, ...]:
         """The source's neighbours in ascending order."""
@@ -239,7 +235,7 @@ class TraceEvent:
 
     def line(self, labels: NodeLabels | None = None) -> str:
         msg = self.message
-        key = msg.key_id if msg.key_id is not None else "PLAIN"
+        key = "PLAIN" if msg.key is None else msg.key.key_id
         return "\t".join(
             (
                 str(self.step),
@@ -303,10 +299,8 @@ class Network:
         self._all_principals = topology.principals()
 
     def begin_round(self) -> None:
-        """Advance to the next round; the directory drops the last round's
-        session keys."""
+        """Advance to the next round; later events carry its number."""
         self.round_no += 1
-        self.directory.begin_round(self.round_no)
 
     def deliver(
         self,
@@ -323,17 +317,11 @@ class Network:
                 raise NoLinkError(
                     f"no link between {node_label(sender)} and {node_label(receiver)}"
                 )
-        if key is None:
-            message = Message(kind, sender, receiver, payload)
-            readable = self._all_principals
-        else:
-            message = Message(kind, sender, receiver, payload, key.key_id)
-            readable = key.scope
         event = TraceEvent(
             step=len(self.events),
             round_no=self.round_no,
-            message=message,
-            readable_by=readable,
+            message=Message(kind, sender, receiver, payload, key),
+            readable_by=self._all_principals if key is None else key.scope,
         )
         self.events.append(event)
         return event

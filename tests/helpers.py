@@ -27,7 +27,7 @@ def reaches_server(topology, source_id):
         node = frontier.pop()
         if node in topology.aggregator_links:
             return True
-        for peer in topology.neighbors(node):
+        for peer in topology.sorted_neighbors(node):
             if peer not in seen:
                 seen.add(peer)
                 frontier.append(peer)
@@ -36,7 +36,7 @@ def reaches_server(topology, source_id):
 
 def check_invariants(topology):
     for s in topology.sources():
-        if not topology.neighbors(s) and s not in topology.aggregator_links:
+        if not topology.sorted_neighbors(s) and s not in topology.aggregator_links:
             raise ValueError(f"source {s} has no neighbor and no server link")
         if not reaches_server(topology, s):
             raise ValueError(f"source {s} cannot reach the server")

@@ -30,7 +30,13 @@ from privagg.cpda import (
     default_seeds,
     next_prime,
 )
-from privagg.keying import KeyBank, KeyBankConfig, KeyDirectory, Permutation
+from privagg.keying import (
+    KeyBank,
+    KeyBankConfig,
+    KeyDirectory,
+    Permutation,
+    pairwise_key_value,
+)
 from privagg.protocol import RoundOutcome
 
 
@@ -177,15 +183,16 @@ def test_criterion_5_key_establishment():
             directory = KeyDirectory(bank)
             for sid in (1, 2):
                 directory.provision_source(sid, seed_rng)
-            directory.begin_round(1)
-            for sid in (1, 2):
-                directory.keyring(sid).select_aggregator_key(seed_rng)
-            exchange = directory.establish_pairwise_key(1, 2, seed_rng)
-            assert (
-                directory.keyring(1).pair_sessions[2].value
-                == directory.keyring(2).pair_sessions[1].value
-                == exchange.key.value
+            exchange = directory.establish_pairwise_key(1, 2, 1, seed_rng)
+            # each endpoint composes its own ordering with the one it received
+            orderings = (exchange.initiator_perm, exchange.responder_perm)
+            a_side, b_side = (
+                pairwise_key_value(
+                    directory.keyring(sid).source_bank, *orderings, exchange.index
+                )
+                for sid in (1, 2)
             )
+            assert a_side == b_side == exchange.key.value
         # bijectivity on 10^3 draws
         rng = random.Random(7)
         for _ in range(1000):

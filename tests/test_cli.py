@@ -7,7 +7,7 @@ from privagg.adversary import AttackNotApplicableError
 from privagg.cli import _EXIT_BY_OUTCOME, ATTACK_CSV_HEADER, main, parse_config_text
 from privagg.keying import KeyingError
 from privagg.protocol import ProtocolError, RoundOutcome
-from privagg.simnet import ConfigError
+from privagg.simnet import ConfigError, ScenarioConfig
 
 THREE_NODE_CONFIG = """\
 # three sources summing 3 + 9 + 14
@@ -34,6 +34,9 @@ def test_parse_config_round_trip():
     assert config.values == (3, 9, 14)
     assert config.total_keys == 20
     assert config.edge_prob == 1.0
+    # keys the file leaves out take the ScenarioConfig defaults
+    minimal = parse_config_text("n_sources = 3\nmodulus = 32\nvalues = 3,9,14\n")
+    assert minimal == ScenarioConfig(n_sources=3, modulus=32, values=(3, 9, 14))
 
 
 def test_parse_config_rejects_unknown_key():

@@ -246,7 +246,7 @@ def test_integer_edge_probability_matches_float(p):
 def test_topology_edges_canonical_sorted_and_deduplicated():
     topo = Topology(3, ((2, 1), (1, 2), (3, 2)), frozenset({1}))
     assert topo.edges == ((1, 2), (2, 3))
-    assert topo.neighbors(2) == frozenset({1, 3})
+    assert topo.sorted_neighbors(2) == (1, 3)
 
 
 @pytest.mark.parametrize("edge", [(1, 1), (0, 1), (1, 0), (1, 4), (4, 2), (-1, 2)])

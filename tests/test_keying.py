@@ -1,5 +1,6 @@
 """Key pre-distribution: permuted banks, session agreement, index secrecy."""
 
+import dataclasses
 import itertools
 import random
 
@@ -11,12 +12,14 @@ from privagg.keying import (
     KeyBank,
     KeyBankConfig,
     KeyDirectory,
-    PairEstablishmentError,
     Permutation,
+    SessionKey,
+    SourceKeyring,
     UnknownSourceError,
     pairwise_key_value,
 )
 from privagg.protocol import RoundRunner
+from privagg.simnet import ScenarioConfig, run_scenario
 
 
 def make_directory(total=100, source_source=30, seed=1):
@@ -44,10 +47,7 @@ def test_directory_takes_permutation_sizes_from_the_bank():
     directory.provision_source(1, random.Random(1))
     directory.provision_source(2, random.Random(2))
     assert len(directory.aggregator_permutation(1)) == 25
-    directory.begin_round(1)
-    for sid in (1, 2):
-        directory.keyring(sid).select_aggregator_key(random.Random(sid))
-    exchange = directory.establish_pairwise_key(1, 2, random.Random(3))
+    exchange = directory.establish_pairwise_key(1, 2, 1, random.Random(3))
     assert len(exchange.initiator_perm) == 5
     assert len(exchange.responder_perm) == 5
 
@@ -102,7 +102,6 @@ def test_permutation_rejects_non_bijection():
 def test_select_resolve_round_trip_exhaustive():
     directory = make_directory(total=12, source_source=4)
     directory.provision_source(1, random.Random(5))
-    directory.begin_round(1)
     keyring = directory.keyring(1)
     for index in range(1, 9):  # bank size 12 - 4 = 8
         assert (
@@ -114,10 +113,9 @@ def test_select_resolve_round_trip_exhaustive():
 def test_select_draws_index_in_range():
     directory = make_directory()
     directory.provision_source(1, random.Random(6))
-    directory.begin_round(1)
     rng = random.Random(7)
     for _ in range(200):
-        index, key = directory.keyring(1).select_aggregator_key(rng)
+        index, key = directory.keyring(1).select_aggregator_key(1, rng)
         assert 1 <= index <= 70
         assert key.value == directory.resolve_aggregator_key(1, index)
 
@@ -126,7 +124,6 @@ def test_same_index_different_sources_different_keys():
     directory = make_directory()
     directory.provision_source(1, random.Random(8))
     directory.provision_source(2, random.Random(9))
-    directory.begin_round(1)
     # orderings differ (seeds distinct), so some index must map to
     # different keys; with 70 keys the first index almost surely does
     k1 = directory.resolve_aggregator_key(1, 1)
@@ -137,7 +134,6 @@ def test_same_index_different_sources_different_keys():
 def test_resolve_errors():
     directory = make_directory()
     directory.provision_source(1, random.Random(10))
-    directory.begin_round(1)
     with pytest.raises(UnknownSourceError):
         directory.resolve_aggregator_key(99, 1)
     with pytest.raises(IndexRangeError):
@@ -146,24 +142,20 @@ def test_resolve_errors():
         directory.resolve_aggregator_key(1, 71)
 
 
-def _directory_with_sessions(n_sources, seed, total=20, source_source=8):
+def _provisioned_directory(n_sources, seed, total=20, source_source=8):
     directory = make_directory(total, source_source, seed)
     provision_rng = random.Random(seed + 1)
-    session_rng = random.Random(seed + 2)
     for sid in range(1, n_sources + 1):
         directory.provision_source(sid, provision_rng)
-    directory.begin_round(1)
-    for sid in range(1, n_sources + 1):
-        directory.keyring(sid).select_aggregator_key(session_rng)
     return directory
 
 
 def test_pairwise_agreement_over_random_pairs():
     rng = random.Random(11)
     for trial in range(300):
-        directory = _directory_with_sessions(4, seed=1000 + trial)
+        directory = _provisioned_directory(4, seed=1000 + trial)
         a, b = rng.sample(range(1, 5), 2)
-        exchange = directory.establish_pairwise_key(a, b, rng)
+        exchange = directory.establish_pairwise_key(a, b, 1, rng)
         # each endpoint derives the key from its own ordering plus the
         # ordering it received; both must land on the same raw key
         a_side = pairwise_key_value(
@@ -179,18 +171,15 @@ def test_pairwise_agreement_over_random_pairs():
             exchange.index,
         )
         assert a_side == b_side == exchange.key.value
-        assert directory.keyring(a).pair_sessions[b].value == a_side
-        assert directory.keyring(b).pair_sessions[a].value == b_side
+        assert exchange.key.scope == {a, b}
         assert 1 <= exchange.index <= 8
 
 
-def test_pairwise_requires_server_sessions():
-    directory = make_directory(20, 8)
-    directory.provision_source(1, random.Random(0))
-    directory.provision_source(2, random.Random(1))
-    directory.begin_round(1)
-    with pytest.raises(PairEstablishmentError):
-        directory.establish_pairwise_key(1, 2, random.Random(2))
+def test_pairwise_rejects_unprovisioned_source():
+    directory = _provisioned_directory(2, seed=0)
+    for a, b in ((1, 3), (3, 1)):
+        with pytest.raises(UnknownSourceError):
+            directory.establish_pairwise_key(a, b, 1, random.Random(2))
 
 
 def test_bystander_guess_misses_without_orderings():
@@ -202,8 +191,8 @@ def test_bystander_guess_misses_without_orderings():
     hits = 0
     trials = 4000
     for trial in range(trials):
-        directory = _directory_with_sessions(3, seed=50_000 + trial)
-        exchange = directory.establish_pairwise_key(1, 2, rng)
+        directory = _provisioned_directory(3, seed=50_000 + trial)
+        exchange = directory.establish_pairwise_key(1, 2, 1, rng)
         guess = directory.bank.source_keys[exchange.index - 1]
         hits += guess == exchange.key.value
     rate = hits / trials
@@ -226,28 +215,43 @@ def test_index_alone_pins_key_with_probability_one_over_bank():
 def test_fresh_index_sequence_reproducible():
     directory = make_directory()
     directory.provision_source(1, random.Random(13))
-    directory.begin_round(1)
     seq1 = [
-        directory.keyring(1).select_aggregator_key(random.Random(99))[0]
+        directory.keyring(1).select_aggregator_key(1, random.Random(99))[0]
         for _ in range(1)
     ]
     seq2 = [
-        directory.keyring(1).select_aggregator_key(random.Random(99))[0]
+        directory.keyring(1).select_aggregator_key(1, random.Random(99))[0]
         for _ in range(1)
     ]
     assert seq1 == seq2
     rng = random.Random(100)
-    indices = [directory.keyring(1).select_aggregator_key(rng)[0] for _ in range(50)]
+    keyring = directory.keyring(1)
+    indices = [keyring.select_aggregator_key(1, rng)[0] for _ in range(50)]
     assert len(set(indices)) > 1  # fresh draws, not a constant
 
 
+def _rounds_by_key_id(events):
+    """Round numbers each key id is used in; every keyed event's id must
+    name its own round."""
+    rounds = {}
+    for event in events:
+        key = event.message.key
+        if key is not None:
+            assert key.key_id.endswith(f":r{event.round_no}")
+            rounds.setdefault(key.key_id, set()).add(event.round_no)
+    return rounds
+
+
 def test_sessions_dropped_between_rounds():
-    directory = _directory_with_sessions(2, seed=14)
-    directory.establish_pairwise_key(1, 2, random.Random(15))
-    assert directory.keyring(1).pair_sessions
-    directory.begin_round(2)
-    assert not directory.keyring(1).pair_sessions
-    assert directory.keyring(1).aggregator_session is None
+    transcript = run_scenario(
+        ScenarioConfig(
+            n_sources=6, modulus=2**16, value_range=(0, 9), rounds=4, seed=14
+        )
+    )
+    rounds = _rounds_by_key_id(transcript.events)
+    assert {r for used in rounds.values() for r in used} == {1, 2, 3, 4}
+    assert {key_id.split(":", 1)[0] for key_id in rounds} == {"agg", "pair"}
+    assert all(len(used) == 1 for used in rounds.values())
 
 
 def test_session_keys_belong_to_their_round():
@@ -260,17 +264,23 @@ def test_session_keys_belong_to_their_round():
             rng=random.Random(f"round:{round_no}"),
             keying_rng=random.Random(f"keying:{round_no}"),
         ).run()
-    keyed = [e for e in network.events if e.message.key_id is not None]
-    assert {e.round_no for e in keyed} == {1, 2, 3}
-    for event in keyed:
-        assert event.message.key_id.endswith(f":r{event.round_no}")
-    held = set()
-    for sid in network.topology.sources():
-        keyring = network.directory.keyring(sid)
-        held.add(keyring.aggregator_session.key_id)
-        held.update(key.key_id for key in keyring.pair_sessions.values())
-    assert "agg:c1:r3" in held
-    assert all(key_id.endswith(":r3") for key_id in held)
+    rounds = _rounds_by_key_id(network.events)
+    assert rounds["agg:c1:r3"] == {3}
+    assert all(len(used) == 1 for used in rounds.values())
+    # the directory and the keyrings hold provisioned material only
+    directory = network.directory
+    keyrings = [directory.keyring(sid) for sid in network.topology.sources()]
+    held = [*vars(directory).values(), *directory._keyrings.values()]
+    for keyring in keyrings:
+        held += [getattr(keyring, f.name) for f in dataclasses.fields(keyring)]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            keyring.source_id = 0
+    assert not any(isinstance(value, SessionKey) for value in held)
+    assert [f.name for f in dataclasses.fields(SourceKeyring)] == [
+        "source_id",
+        "aggregator_bank",
+        "source_bank",
+    ]
 
 
 def test_pairwise_key_value_reads_composed_slot():

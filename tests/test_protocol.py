@@ -163,7 +163,7 @@ def test_every_forward_follows_its_pairwise_setup():
             continue
         forwards += 1
         lo, hi = sorted((msg.sender, msg.receiver))
-        assert msg.key_id == f"pair:c{lo}:c{hi}:r{event.round_no}"
+        assert msg.key.key_id == f"pair:c{lo}:c{hi}:r{event.round_no}"
         announces = [
             j for j in range(i)
             if events[j].round_no == event.round_no
@@ -202,7 +202,7 @@ def test_relay_jump_completes_sparse_topology():
     ]
     assert len(relays) == 2  # one jump: up from the last holder, down to 3
     for event in relays:
-        assert event.message.key_id is not None  # never plaintext
+        assert event.message.key is not None  # never plaintext
     assert result.visitation == (1, 2, 3)
 
 
@@ -269,10 +269,13 @@ def test_participation_guard_rejects_double_entry(monkeypatch):
 
 
 def test_second_run_on_same_runner_rejected():
-    runner, _ = build_round(path_topology(3), (3, 9, 14), 32)
+    runner, network = build_round(path_topology(3), (3, 9, 14), 32)
     assert runner.run().outcome is RoundOutcome.SUM
-    with pytest.raises(ProtocolError, match="asked to participate twice"):
+    sent, round_no = len(network.events), network.round_no
+    with pytest.raises(ProtocolError, match="already run its round"):
         runner.run()
+    # rejected before it opens a round or sends anything
+    assert (len(network.events), network.round_no) == (sent, round_no)
 
 
 def test_mode_validation():
@@ -298,6 +301,6 @@ def test_only_index_announcements_are_plaintext():
             )
         )
         for event in transcript.events:
-            if event.message.key_id is None:
+            if event.message.key is None:
                 assert event.message.kind is MessageKind.KEY_INDEX_ANNOUNCE
 

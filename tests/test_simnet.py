@@ -26,7 +26,7 @@ def test_full_density_gives_complete_graph():
     topo = generate_topology(5, 1.0, random.Random(0))
     assert len(topo.edges) == 10
     for s in topo.sources():
-        assert len(topo.neighbors(s)) == 4
+        assert len(topo.sorted_neighbors(s)) == 4
     assert len(topo.aggregator_links) == 1  # one link for the single component
 
 
@@ -68,11 +68,15 @@ def test_invalid_topology_arguments():
 @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
 def test_topology_queries_agree_with_neighbor_sets(n, p):
     topo = generate_topology(n, p, random.Random(n))
+    ends = {a: [] for a in topo.sources()}
+    for x, y in topo.edges:
+        ends[x].append(y)
+        ends[y].append(x)
     for a in range(-1, n + 2):
-        peers = frozenset()
+        peers = ()
         if 1 <= a <= n:
-            peers = topo.neighbors(a)
-            assert topo.sorted_neighbors(a) == tuple(sorted(peers))
+            peers = topo.sorted_neighbors(a)
+            assert peers == tuple(sorted(ends[a]))
         for b in range(-1, n + 2):
             assert topo.has_edge(a, b) == (b in peers)
 
@@ -86,7 +90,8 @@ def test_topology_equality_ignores_edge_order_and_duplicates():
     assert first != Topology(4, edges[:2], frozenset({1}))
 
 
-_MESSAGE = Message(MessageKind.SUM_REPORT, 1, SERVER, 5, "agg:c1:r1")
+_KEY = SessionKey(value=7, key_id="agg:c1:r1", scope=frozenset({1, SERVER}))
+_MESSAGE = Message(MessageKind.SUM_REPORT, 1, SERVER, 5, _KEY)
 
 
 @pytest.mark.parametrize(
@@ -94,7 +99,7 @@ _MESSAGE = Message(MessageKind.SUM_REPORT, 1, SERVER, 5, "agg:c1:r1")
     [
         _MESSAGE,
         TraceEvent(step=0, round_no=1, message=_MESSAGE, readable_by=frozenset({1})),
-        SessionKey(value=7, key_id="agg:c1:r1", scope=frozenset({1, SERVER})),
+        _KEY,
     ],
     ids=["Message", "TraceEvent", "SessionKey"],
 )
@@ -146,7 +151,7 @@ def test_confidentiality_soundness():
     kinds = set()
     for event in network.events:
         msg = event.message
-        kind = "plain" if msg.key_id is None else msg.key_id.split(":", 1)[0]
+        kind = "plain" if msg.key is None else msg.key.key_id.split(":", 1)[0]
         kinds.add(kind)
         if kind == "plain":
             assert event.readable_by == principals
@@ -156,7 +161,7 @@ def test_confidentiality_soundness():
         else:
             assert kind == "agg"
             source = msg.receiver if msg.sender == SERVER else msg.sender
-            assert msg.key_id.startswith(f"agg:c{source}:")
+            assert msg.key.key_id.startswith(f"agg:c{source}:")
             assert event.readable_by == {source, SERVER}
     assert kinds == {"plain", "pair", "agg"}
 
@@ -240,7 +245,7 @@ def _reference_line(event):
             label(msg.sender),
             label(msg.receiver),
             msg.kind.value,
-            "PLAIN" if msg.key_id is None else msg.key_id,
+            "PLAIN" if msg.key is None else msg.key.key_id,
             payload,
         )
     )
