@@ -32,6 +32,8 @@ CURVE_CSV_HEADER = "b,p_cpda_formula,p_ours_formula,p_ours_empirical,trials"
 
 _MASS_TOLERANCE = 1e-12
 
+MAX_GRID_POINTS = 10**6
+
 
 class ModelError(ValueError):
     """Disclosure model failed validation."""
@@ -104,14 +106,20 @@ class CurvePoint:
 
 
 def probability_grid(start: float, stop: float, step: float) -> list[float]:
-    """Inclusive grid of b values; endpoints must stay within [0, 1]."""
+    """Inclusive grid of b values; endpoints must stay within [0, 1], and
+    the grid may hold at most ``MAX_GRID_POINTS`` points."""
     if not step > 0:  # also rejects NaN
         raise ModelError("grid step must be positive")
     if math.isinf(step):  # 0 * inf is NaN, which would drop every point
         raise ModelError("grid step must be positive and finite")
     if not (0.0 <= start <= stop <= 1.0):
         raise ModelError("grid endpoints must satisfy 0 <= start <= stop <= 1")
-    count = int(round((stop - start) / step)) + 1
+    span = (stop - start) / step  # inf when a tiny step overflows the division
+    if math.isinf(span) or round(span) >= MAX_GRID_POINTS:
+        raise ModelError(
+            f"grid step {step!r} gives more than {MAX_GRID_POINTS} points"
+        )
+    count = round(span) + 1
     grid = [round(start + i * step, 12) for i in range(count)]
     return [b for b in grid if b <= stop + 1e-12]
 

@@ -20,6 +20,12 @@ Keyrings and the directory hold only what provisioning installs.  Session
 keys last one round: the functions that agree them return them and keep
 nothing, and the round that asked for them holds them.
 
+Every ordering is a Fisher-Yates shuffle that makes the same
+``getrandbits`` calls, in the same order, as ``random.Random.shuffle``, and
+every announced index the same calls as ``random.Random.randint``.  Those
+draws are part of the transcript contract: changing them changes every
+seeded transcript.
+
 Confidentiality in the simulator is possession based: a message encrypted
 under a session key is readable exactly by the principals in that key's
 scope.  No real cipher is modelled.
@@ -29,10 +35,44 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 SERVER = 0  # distinguished principal id of the aggregator/server
 
 KEY_BITS = 128
+
+
+def _randbelow(n: int, rng: random.Random) -> int:
+    """``rng._randbelow(n)``: a draw of ``n.bit_length()`` bits, redrawn
+    while it is not below ``n``."""
+    if n <= 0:  # getrandbits(0) is always 0, so the loop would never end
+        raise ValueError("cannot draw from an empty range")
+    getrandbits = rng.getrandbits
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+@lru_cache(maxsize=8)
+def _shuffle_steps(size: int) -> tuple[tuple[int, int], ...]:
+    """``(i, bits)`` for each swap of a shuffle of ``size`` slots, top down:
+    slot ``i`` swaps with a draw below ``i + 1``, which takes ``bits`` bits."""
+    return tuple((i, (i + 1).bit_length()) for i in range(size - 1, 0, -1))
+
+
+def _shuffled_range(size: int, rng: random.Random) -> list[int]:
+    """``range(size)`` shuffled by exactly the ``getrandbits`` calls that
+    ``rng.shuffle`` makes on it (``_randbelow`` inlined per swap)."""
+    order = list(range(size))
+    getrandbits = rng.getrandbits
+    for i, k in _shuffle_steps(size):
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        order[i], order[j] = order[j], order[i]
+    return order
 
 
 class KeyingError(Exception):
@@ -113,9 +153,15 @@ class Permutation:
 
     @classmethod
     def random(cls, size: int, rng: random.Random) -> "Permutation":
-        order = list(range(size))
-        rng.shuffle(order)
-        return cls(tuple(order))
+        """A uniformly random ordering, drawn as ``rng.shuffle`` would draw
+        it; the draws are part of the transcript contract.
+
+        A shuffle of ``range(size)`` is a bijection by construction, so the
+        ordering skips the check the public constructor makes.
+        """
+        perm = object.__new__(cls)
+        object.__setattr__(perm, "order", tuple(_shuffled_range(size, rng)))
+        return perm
 
     def __len__(self) -> int:
         return len(self.order)
@@ -164,22 +210,15 @@ class SourceKeyring:
     aggregator_bank: tuple[int, ...]
     source_bank: tuple[int, ...]
 
-    def aggregator_key_at(self, index: int) -> int:
-        if not 1 <= index <= len(self.aggregator_bank):
-            raise IndexRangeError(
-                f"index {index} outside bank of size {len(self.aggregator_bank)}"
-            )
-        return self.aggregator_bank[index - 1]
-
     def select_aggregator_key(
         self, round_no: int, rng: random.Random
     ) -> tuple[int, SessionKey]:
         """Draw a fresh announced index and the round's session key it selects."""
-        index = rng.randint(1, len(self.aggregator_bank))
+        index = 1 + _randbelow(len(self.aggregator_bank), rng)  # rng.randint
         key = SessionKey(
-            value=self.aggregator_key_at(index),
-            key_id=f"agg:c{self.source_id}:r{round_no}",
-            scope=frozenset({self.source_id, SERVER}),
+            self.aggregator_bank[index - 1],
+            f"agg:c{self.source_id}:r{round_no}",
+            frozenset((self.source_id, SERVER)),
         )
         return index, key
 
@@ -264,17 +303,8 @@ class KeyDirectory:
         size = len(self.bank.source_keys)
         perm_a = Permutation.random(size, rng)
         perm_b = Permutation.random(size, rng)
-        index = rng.randint(1, size)
+        index = 1 + _randbelow(size, rng)  # rng.randint(1, size)
         value = pairwise_key_value(self.bank.source_keys, perm_a, perm_b, index)
-        lo, hi = sorted((a, b))
-        key = SessionKey(
-            value=value,
-            key_id=f"pair:c{lo}:c{hi}:r{round_no}",
-            scope=frozenset({a, b}),
-        )
-        return PairwiseExchange(
-            initiator_perm=perm_a,
-            responder_perm=perm_b,
-            index=index,
-            key=key,
-        )
+        lo, hi = (a, b) if a < b else (b, a)
+        key = SessionKey(value, f"pair:c{lo}:c{hi}:r{round_no}", frozenset((a, b)))
+        return PairwiseExchange(perm_a, perm_b, index, key)

@@ -31,7 +31,7 @@ from enum import Enum
 from itertools import filterfalse
 from typing import TYPE_CHECKING
 
-from .keying import SERVER, Permutation, SessionKey
+from .keying import SERVER, SessionKey
 from .masking import chain_add, mask_initial, unmask
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -103,25 +103,32 @@ class Message:
     def payload_summary(self, labels: NodeLabels | None = None) -> str:
         """Payload as logged; ``labels`` lets a caller rendering many
         messages share one label table."""
-        kind = self.kind
-        if kind in MASKED_VALUE_KINDS:
-            return f"masked={self.payload}"
-        if kind is MessageKind.KEY_INDEX_ANNOUNCE:
-            return f"index={self.payload}"
-        if kind is MessageKind.NEIGHBOR_REPORT:
-            if labels is None:
-                labels = NodeLabels()
-            return "neighbors=" + "|".join(map(labels.__getitem__, self.payload))
-        if kind is MessageKind.NEXT_HOP_DIRECTIVE:
-            return f"next={node_label(self.payload)}"
-        if kind is MessageKind.SUM_REPORT:
-            return f"sum={self.payload}"
-        if kind is MessageKind.PERMUTE_EXCHANGE:
-            perm: Permutation = self.payload
-            return f"perm(n={len(perm)})"
-        if kind is MessageKind.OPERATION_REFUSED:
-            return REFUSAL_TEXT
-        return "-"
+        if labels is None:
+            labels = NodeLabels()
+        # _value_ is the wire name: a plain attribute, where .value is a
+        # property and a dict keyed by the member would call Enum.__hash__.
+        return _PAYLOAD_FORMATS[self.kind._value_](self.payload, labels)
+
+
+def _masked(payload: int, labels: NodeLabels) -> str:
+    return f"masked={payload}"
+
+
+# How each kind's payload is logged, keyed by the kind's wire name.
+_PAYLOAD_FORMATS = {
+    **{kind.value: _masked for kind in MASKED_VALUE_KINDS},
+    MessageKind.INITIATE_ROUND.value: lambda payload, labels: "-",
+    MessageKind.KEY_INDEX_ANNOUNCE.value: lambda payload, labels: f"index={payload}",
+    MessageKind.PERMUTE_EXCHANGE.value: (
+        lambda perm, labels: f"perm(n={len(perm.order)})"
+    ),
+    MessageKind.NEIGHBOR_REPORT.value: (
+        lambda peers, labels: "neighbors=" + "|".join(map(labels.__getitem__, peers))
+    ),
+    MessageKind.NEXT_HOP_DIRECTIVE.value: lambda node, labels: "next=" + labels[node],
+    MessageKind.SUM_REPORT.value: lambda payload, labels: f"sum={payload}",
+    MessageKind.OPERATION_REFUSED.value: lambda payload, labels: REFUSAL_TEXT,
+}
 
 
 class RoundOutcome(Enum):

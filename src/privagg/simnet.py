@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import compress, repeat, starmap
 from operator import attrgetter
 
@@ -234,17 +234,17 @@ class TraceEvent:
     readable_by: frozenset[int]
 
     def line(self, labels: NodeLabels | None = None) -> str:
+        """Step, sender, receiver, variant, key id or PLAIN, payload;
+        ``labels`` lets a caller rendering many events share one table."""
+        if labels is None:
+            labels = NodeLabels()
         msg = self.message
-        key = "PLAIN" if msg.key is None else msg.key.key_id
-        return "\t".join(
-            (
-                str(self.step),
-                node_label(msg.sender),
-                node_label(msg.receiver),
-                msg.kind.value,
-                key,
-                msg.payload_summary(labels),
-            )
+        key = msg.key
+        # _value_ is the wire name; the .value property costs a call per line.
+        return (
+            f"{self.step}\t{labels[msg.sender]}\t{labels[msg.receiver]}\t"
+            f"{msg.kind._value_}\t{'PLAIN' if key is None else key.key_id}\t"
+            f"{msg.payload_summary(labels)}"
         )
 
 
@@ -282,10 +282,22 @@ class Transcript:
     def serialize(self) -> str:
         """Line log: step, sender, receiver, variant, key id or PLAIN, payload.
 
-        Neighbour-report labels come from one table built for this call
-        and dropped after it."""
+        Node labels, for senders, receivers and neighbour reports alike,
+        come from one table built for this call and dropped after it."""
         labels = NodeLabels()
-        return "".join(e.line(labels) + "\n" for e in self.events)
+        return "".join([e.line(labels) + "\n" for e in self.events])
+
+
+# Slot setters of the two records each delivery builds.  A frozen dataclass
+# ``__init__`` fills its slots through ``object.__setattr__``, by name;
+# ``Network.deliver`` calls the slot descriptors directly, at about half the
+# cost.  The records stay frozen and slotted.
+_set_kind, _set_sender, _set_receiver, _set_payload, _set_key = (
+    getattr(Message, f.name).__set__ for f in fields(Message)
+)
+_set_step, _set_round_no, _set_message, _set_readable_by = (
+    getattr(TraceEvent, f.name).__set__ for f in fields(TraceEvent)
+)
 
 
 class Network:
@@ -317,12 +329,17 @@ class Network:
                 raise NoLinkError(
                     f"no link between {node_label(sender)} and {node_label(receiver)}"
                 )
-        event = TraceEvent(
-            step=len(self.events),
-            round_no=self.round_no,
-            message=Message(kind, sender, receiver, payload, key),
-            readable_by=self._all_principals if key is None else key.scope,
-        )
+        msg = object.__new__(Message)
+        _set_kind(msg, kind)
+        _set_sender(msg, sender)
+        _set_receiver(msg, receiver)
+        _set_payload(msg, payload)
+        _set_key(msg, key)
+        event = object.__new__(TraceEvent)
+        _set_step(event, len(self.events))
+        _set_round_no(event, self.round_no)
+        _set_message(event, msg)
+        _set_readable_by(event, self._all_principals if key is None else key.scope)
         self.events.append(event)
         return event
 

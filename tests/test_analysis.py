@@ -116,6 +116,13 @@ def test_probability_grid_default_spacing():
         probability_grid(-0.5, 1.0, 0.1)
 
 
+# 1e-6 asks for exactly one point too many; 5e-324 overflows the division.
+@pytest.mark.parametrize("step", [1e-12, 1e-6, 5e-324])
+def test_probability_grid_rejects_more_than_a_million_points(step):
+    with pytest.raises(ModelError, match=f"grid step {step!r} gives more than"):
+        probability_grid(0.0, 1.0, step)
+
+
 def test_sweep_with_trials_populates_empirical_column():
     points = sweep_curve(cluster_point_mass(3), [0.1, 0.3], trials=20_000, seed=4)
     for pt in points:

@@ -250,6 +250,13 @@ def test_curve_nan_step_names_the_step(capsys):
     assert capsys.readouterr().err == "error: grid step must be positive\n"
 
 
+def test_curve_tiny_step_exits_before_allocating(capsys):
+    assert main(["curve", "--b-step", "1e-12"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: grid step 1e-12 gives more than")
+
+
 def test_curve_infinite_step_names_the_step(capsys):
     assert main(["curve", "--b-step", "inf"]) == 1
     out, err = capsys.readouterr()

@@ -146,6 +146,12 @@ TRANSCRIPT_GOLDENS = {
         "61b75d699b2044b06c8d236ccdfe114ec26350dbe6d6a400b05f63b76ceaa72b",
 }
 
+# The shape of the rounds-sparse benchmark workload: a sparse graph, so
+# relay jumps mix with direct hops and most events are pairwise setups.
+# Computed before the key shuffles, event records and transcript rendering
+# were rewritten for speed.
+SPARSE_ROUNDS_GOLDEN = "af5498b075bdd91b431c1d4cefc11fda8d3c6f6ffc7ae87caf5b23594282949d"
+
 CLI_CONFIG = """\
 n_sources = 50
 modulus = 4294967296
@@ -200,6 +206,21 @@ def test_transcript_golden(mode, adversary, rounds, values):
     )
     digest = _sha256(run_scenario(config).serialize())
     assert digest == TRANSCRIPT_GOLDENS[(mode, adversary, rounds, values)]
+
+
+def test_sparse_many_round_transcript_golden():
+    config = ScenarioConfig(
+        n_sources=200,
+        modulus=2**32,
+        value_range=(0, 999),
+        total_keys=100,
+        source_source_keys=30,
+        edge_prob=0.02,
+        seed=1,
+        mode="direct",
+        rounds=10,
+    )
+    assert _sha256(run_scenario(config).serialize()) == SPARSE_ROUNDS_GOLDEN
 
 
 @pytest.mark.parametrize("command, arg", sorted(CLI_GOLDENS))

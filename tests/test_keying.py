@@ -99,6 +99,45 @@ def test_permutation_rejects_non_bijection():
         Permutation((0, 0, 2))
 
 
+def test_permutation_draws_match_random_shuffle():
+    """The draws are part of the transcript contract: every ordering is the
+    list ``random.Random.shuffle`` makes on a twin generator, and leaves
+    the generator in the same state."""
+    for seed in range(200):
+        a, b = random.Random(seed), random.Random(seed)
+        for size in range(1, 101):
+            perm = Permutation.random(size, a)
+            order = list(range(size))
+            b.shuffle(order)
+            assert list(perm.order) == order, (seed, size)
+            assert a.getstate() == b.getstate(), (seed, size)
+            assert Permutation(perm.order) == perm
+
+
+def test_index_draws_match_random_randint():
+    directory = make_directory()
+    directory.provision_source(1, random.Random(0))
+    directory.provision_source(2, random.Random(1))
+    keyring = directory.keyring(1)
+    for seed in range(200):
+        a, b = random.Random(seed), random.Random(seed)
+        index, _ = keyring.select_aggregator_key(1, a)
+        assert index == b.randint(1, 70)
+        assert a.getstate() == b.getstate()
+        exchange = directory.establish_pairwise_key(1, 2, 1, a)
+        for perm in (exchange.initiator_perm, exchange.responder_perm):
+            order = list(range(30))
+            b.shuffle(order)
+            assert list(perm.order) == order
+        assert exchange.index == b.randint(1, 30)
+        assert a.getstate() == b.getstate()
+
+
+def test_index_draw_from_empty_bank_rejected():
+    with pytest.raises(ValueError):
+        SourceKeyring(1, (), ()).select_aggregator_key(1, random.Random(0))
+
+
 def test_select_resolve_round_trip_exhaustive():
     directory = make_directory(total=12, source_source=4)
     directory.provision_source(1, random.Random(5))
@@ -106,7 +145,7 @@ def test_select_resolve_round_trip_exhaustive():
     for index in range(1, 9):  # bank size 12 - 4 = 8
         assert (
             directory.resolve_aggregator_key(1, index)
-            == keyring.aggregator_key_at(index)
+            == keyring.aggregator_bank[index - 1]
         )
 
 

@@ -9,8 +9,14 @@ from helpers import build_round, check_invariants, complete_topology, path_topol
 
 from privagg import ScenarioConfig, run_scenario
 from privagg.cli import main, parse_config_text
-from privagg.keying import SERVER, SessionKey
-from privagg.protocol import MODES, Message, MessageKind, RoundOutcome
+from privagg.keying import SERVER, Permutation, SessionKey
+from privagg.protocol import (
+    MODES,
+    REFUSAL_TEXT,
+    Message,
+    MessageKind,
+    RoundOutcome,
+)
 from privagg.simnet import (
     ConfigError,
     Network,
@@ -109,6 +115,52 @@ def test_records_are_frozen_and_slotted(record):
         setattr(record, first_field, None)
     assert not hasattr(record, "__dict__")
     assert dataclasses.replace(record) == record
+
+
+def test_delivered_records_equal_constructed_ones():
+    runner, network = build_round(
+        path_topology(3), (3, 9, 14), 32, force_initiator=1
+    )
+    runner.run()
+    for event in network.events:
+        msg = event.message
+        rebuilt = TraceEvent(
+            event.step,
+            event.round_no,
+            Message(msg.kind, msg.sender, msg.receiver, msg.payload, msg.key),
+            event.readable_by,
+        )
+        assert event == rebuilt
+        for record in (event, msg):
+            assert not hasattr(record, "__dict__")
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, dataclasses.fields(record)[0].name, None)
+
+
+@pytest.mark.parametrize(
+    "kind, payload, text",
+    [
+        (MessageKind.INITIATE_ROUND, None, "-"),
+        (MessageKind.KEY_INDEX_ANNOUNCE, 7, "index=7"),
+        (MessageKind.PERMUTE_EXCHANGE, Permutation((1, 0, 2)), "perm(n=3)"),
+        (MessageKind.NEIGHBOR_REPORT, (2, 10), "neighbors=c2|c10"),
+        (MessageKind.NEIGHBOR_REPORT, (), "neighbors="),
+        (MessageKind.NEXT_HOP_DIRECTIVE, 4, "next=c4"),
+        (MessageKind.NEXT_HOP_DIRECTIVE, SERVER, "next=server"),
+        (MessageKind.MASKED_FORWARD, 11, "masked=11"),
+        (MessageKind.RELAY_UP, 12, "masked=12"),
+        (MessageKind.RELAY_DOWN, 13, "masked=13"),
+        (MessageKind.FINAL_MASKED_VALUE, 14, "masked=14"),
+        (MessageKind.COMPUTE_SUM_DIRECTIVE, 15, "masked=15"),
+        (MessageKind.SUM_REPORT, 16, "sum=16"),
+        (MessageKind.OPERATION_REFUSED, None, REFUSAL_TEXT),
+    ],
+)
+def test_payload_summary_per_kind(kind, payload, text):
+    message = Message(kind, 1, SERVER, payload)
+    assert message.payload_summary() == text
+    event = TraceEvent(3, 1, message, frozenset({1}))
+    assert event.line() == f"3\tc1\tserver\t{kind.value}\tPLAIN\t{text}"
 
 
 def test_plaintext_delivery_readable_by_everyone():
