@@ -39,21 +39,13 @@ from itertools import repeat, starmap
 from .keying import SERVER
 from .masking import collusion_recover
 from .protocol import (
+    CHAIN_INBOUND,
+    CHAIN_OUTBOUND,
     MASKED_VALUE_KINDS,
-    MessageKind,
     ProtocolError,
     RoundOutcome,
 )
-from .simnet import ScenarioConfig, Transcript, TraceEvent, run_scenario
-
-# Tuples, not sets: a tuple membership test compares by identity first and
-# never calls Enum.__hash__, which runs in Python.
-_CHAIN_INBOUND = (MessageKind.MASKED_FORWARD, MessageKind.RELAY_DOWN)
-_CHAIN_OUTBOUND = (
-    MessageKind.MASKED_FORWARD,
-    MessageKind.RELAY_UP,
-    MessageKind.FINAL_MASKED_VALUE,
-)
+from .simnet import PROBE_KINDS, ScenarioConfig, Transcript, TraceEvent, run_scenario
 
 
 class AttackNotApplicableError(Exception):
@@ -116,9 +108,9 @@ def chain_hops(transcript: Transcript, round_index: int = -1) -> list[ChainHop]:
     for event in transcript.round_events(round_no):
         msg = event.message
         kind, sender, receiver = msg.kind, msg.sender, msg.receiver
-        if kind in _CHAIN_INBOUND and receiver not in inbound:
+        if kind in CHAIN_INBOUND and receiver not in inbound:
             inbound[receiver] = event
-        if kind in _CHAIN_OUTBOUND and sender not in outbound:
+        if kind in CHAIN_OUTBOUND and sender not in outbound:
             outbound[sender] = event
         links.add(_event_link(event))
     hops = [
@@ -207,7 +199,7 @@ def run_server_probe(config: ScenarioConfig) -> AttackOutcome:
     disclosed; with the ablation variant the initiator reports the "sum" and
     the server has learned that node's private value.
     """
-    if config.adversary not in ("probe", "probe_ablation"):
+    if config.adversary not in PROBE_KINDS:
         raise ValueError("scenario is not configured with a server probe")
     transcript = run_scenario(config)
     result = transcript.result

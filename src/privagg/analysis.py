@@ -65,8 +65,8 @@ class DisclosureModel:
                 raise ModelError(
                     f"cluster_dist needs {count} masses, got {len(self.cluster_dist)}"
                 )
-            if any(mass < 0.0 for mass in self.cluster_dist):
-                raise ModelError("cluster_dist masses must be non-negative")
+            if not all(math.isfinite(m) and m >= 0.0 for m in self.cluster_dist):
+                raise ModelError("cluster_dist masses must be finite and >= 0")
             if abs(sum(self.cluster_dist) - 1.0) > _MASS_TOLERANCE:
                 raise ModelError("cluster_dist masses must sum to 1")
 

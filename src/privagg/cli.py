@@ -37,6 +37,7 @@ from .cpda import CPDA_MAX_CLUSTER, CPDA_MIN_CLUSTER, bench_csv, benchmark_kerne
 from .keying import KeyingError
 from .protocol import ProtocolError, RoundOutcome, node_label
 from .simnet import (
+    PROBE_KINDS,
     ConfigError,
     ScenarioConfig,
     parse_adversary,
@@ -134,43 +135,21 @@ def cmd_run(args: argparse.Namespace) -> int:
     return _EXIT_BY_OUTCOME[result.outcome]
 
 
-def _attack_row(
-    model: str,
-    target: int,
-    disclosed: int | None,
-    true_value: int,
-    defense_triggered: bool,
-) -> str:
-    disclosed_text = "" if disclosed is None else str(disclosed)
-    exact = disclosed is not None and disclosed == true_value
-    return (
-        f"{model},{node_label(target)},{disclosed_text},{true_value},"
-        f"{str(exact).lower()},{str(defense_triggered).lower()}"
-    )
-
-
 def cmd_attack(args: argparse.Namespace) -> int:
     config = load_config(args.config, args.seed)
     model = args.model if args.model is not None else config.adversary
     kind, param = parse_adversary(model)
     if kind == "none":
         raise ConfigError("adversary", "no adversary model configured or given")
-    probe = kind in ("probe", "probe_ablation")
+    probe = kind in PROBE_KINDS
     transcript = run_scenario(replace(config, adversary=kind if probe else "none"))
     truth = scenario_values(config, len(transcript.results))
-    rows = [ATTACK_CSV_HEADER]
+    # (target, disclosed value or None, defense triggered) per attacked target
+    found: list[tuple[int, int | None, bool]] = []
     if probe:
         result = transcript.result
         refused = result.outcome is RoundOutcome.REFUSED
-        rows.append(
-            _attack_row(
-                kind,
-                result.initiator,
-                None if refused else result.total,
-                truth[result.initiator - 1],
-                refused,
-            )
-        )
+        found.append((result.initiator, None if refused else result.total, refused))
     elif kind == "collusion":
         targets = transcript.result.visitation[1:-1] if param is None else [param]
         for target in targets:
@@ -178,28 +157,20 @@ def cmd_attack(args: argparse.Namespace) -> int:
                 outcome = run_collusion_attack(transcript, target)
             except AttackNotApplicableError as exc:
                 raise ConfigError("adversary", str(exc)) from None
-            rows.append(
-                _attack_row(
-                    "collusion",
-                    target,
-                    outcome.disclosed.get(target),
-                    truth[target - 1],
-                    False,
-                )
-            )
+            found.append((target, outcome.disclosed.get(target), False))
     else:  # link
         rng = random.Random(f"{config.seed}:attack:link")
         outcome = run_link_compromise(transcript, param, rng)
-        for target in sorted(outcome.disclosed):
-            rows.append(
-                _attack_row(
-                    model,
-                    target,
-                    outcome.disclosed[target],
-                    truth[target - 1],
-                    False,
-                )
-            )
+        found = [(t, outcome.disclosed[t], False) for t in sorted(outcome.disclosed)]
+    label = model if kind == "link" else kind
+    rows = [ATTACK_CSV_HEADER]
+    for target, disclosed, defense_triggered in found:
+        true_value = truth[target - 1]
+        rows.append(
+            f"{label},{node_label(target)},{'' if disclosed is None else disclosed},"
+            f"{true_value},{str(disclosed == true_value).lower()},"
+            f"{str(defense_triggered).lower()}"
+        )
     _write_output("\n".join(rows) + "\n", args.out)
     return 0
 

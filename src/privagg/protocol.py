@@ -37,8 +37,6 @@ from .masking import chain_add, mask_initial, unmask
 if TYPE_CHECKING:  # pragma: no cover
     from .simnet import Network
 
-REFUSAL_TEXT = "operation cannot be performed"
-
 MODES = ("direct", "strict-relay")
 
 
@@ -61,33 +59,25 @@ class MessageKind(Enum):
     OPERATION_REFUSED = "OperationRefused"
 
 
-# Kinds whose integer payload is a running masked value (or the final sum in
-# the case of SumReport, which is derived from one).
+# Chain hops that carry the running masked value into a node and out of it.
+# Tuples, not sets: a tuple membership test compares by identity first and
+# never calls Enum.__hash__, which runs in Python.
+CHAIN_INBOUND = (MessageKind.MASKED_FORWARD, MessageKind.RELAY_DOWN)
+CHAIN_OUTBOUND = (
+    MessageKind.MASKED_FORWARD,
+    MessageKind.RELAY_UP,
+    MessageKind.FINAL_MASKED_VALUE,
+)
+
+# Kinds whose integer payload is a running masked value: the chain hops, and
+# the final masked value the server hands the initiator to unmask.
 MASKED_VALUE_KINDS = frozenset(
-    {
-        MessageKind.MASKED_FORWARD,
-        MessageKind.RELAY_UP,
-        MessageKind.RELAY_DOWN,
-        MessageKind.FINAL_MASKED_VALUE,
-        MessageKind.COMPUTE_SUM_DIRECTIVE,
-    }
+    CHAIN_INBOUND + CHAIN_OUTBOUND + (MessageKind.COMPUTE_SUM_DIRECTIVE,)
 )
 
 
 def node_label(node_id: int) -> str:
     return "server" if node_id == SERVER else f"c{node_id}"
-
-
-class NodeLabels(dict):
-    """``node_label`` by node id, each label formatted on first lookup.
-
-    One rendering pass builds one table and drops it when it is done, so
-    no label outlives the pass.
-    """
-
-    def __missing__(self, node_id: int) -> str:
-        label = self[node_id] = node_label(node_id)
-        return label
 
 
 @dataclass(frozen=True, slots=True)
@@ -100,36 +90,6 @@ class Message:
     payload: object = None
     key: SessionKey | None = None
 
-    def payload_summary(self, labels: NodeLabels | None = None) -> str:
-        """Payload as logged; ``labels`` lets a caller rendering many
-        messages share one label table."""
-        if labels is None:
-            labels = NodeLabels()
-        # _value_ is the wire name: a plain attribute, where .value is a
-        # property and a dict keyed by the member would call Enum.__hash__.
-        return _PAYLOAD_FORMATS[self.kind._value_](self.payload, labels)
-
-
-def _masked(payload: int, labels: NodeLabels) -> str:
-    return f"masked={payload}"
-
-
-# How each kind's payload is logged, keyed by the kind's wire name.
-_PAYLOAD_FORMATS = {
-    **{kind.value: _masked for kind in MASKED_VALUE_KINDS},
-    MessageKind.INITIATE_ROUND.value: lambda payload, labels: "-",
-    MessageKind.KEY_INDEX_ANNOUNCE.value: lambda payload, labels: f"index={payload}",
-    MessageKind.PERMUTE_EXCHANGE.value: (
-        lambda perm, labels: f"perm(n={len(perm.order)})"
-    ),
-    MessageKind.NEIGHBOR_REPORT.value: (
-        lambda peers, labels: "neighbors=" + "|".join(map(labels.__getitem__, peers))
-    ),
-    MessageKind.NEXT_HOP_DIRECTIVE.value: lambda node, labels: "next=" + labels[node],
-    MessageKind.SUM_REPORT.value: lambda payload, labels: f"sum={payload}",
-    MessageKind.OPERATION_REFUSED.value: lambda payload, labels: REFUSAL_TEXT,
-}
-
 
 class RoundOutcome(Enum):
     SUM = "sum"
@@ -140,7 +100,6 @@ class RoundOutcome(Enum):
 class RoundResult:
     outcome: RoundOutcome
     total: int | None
-    reason: str | None
     initiator: int
     visitation: tuple[int, ...]
 
@@ -196,8 +155,7 @@ class RoundRunner:
         self.force_initiator = force_initiator
         self.force_initial_mask = force_initial_mask
         self.session_keys: dict[int, SessionKey] = {}
-        self.participated: set[int] = set()
-        self.visitation: list[int] = []
+        self.visitation: dict[int, None] = {}  # joiners, in joining order
 
     # -- session establishment ----------------------------------------------
 
@@ -243,10 +201,9 @@ class RoundRunner:
 
     def _join_chain(self, node_id: int) -> tuple[int, ...]:
         """Record the node as the next contributor; it reports its neighborhood."""
-        if node_id in self.participated:
+        if node_id in self.visitation:
             raise ProtocolError(f"{node_label(node_id)} asked to participate twice")
-        self.participated.add(node_id)
-        self.visitation.append(node_id)
+        self.visitation[node_id] = None
         report = self.network.topology.sorted_neighbors(node_id)
         self.network.deliver(
             MessageKind.NEIGHBOR_REPORT,
@@ -264,14 +221,14 @@ class RoundRunner:
         filtered list is already in ascending order.  Returns None when the
         reported neighborhood is exhausted.
         """
-        candidates = list(filterfalse(self.participated.__contains__, reported))
+        candidates = list(filterfalse(self.visitation.__contains__, reported))
         if not candidates:
             return None
         return self.rng.choice(candidates)
 
     def server_relay_jump_choice(self) -> int:
         """Uniform choice among all sources not yet participated."""
-        candidates = list(filterfalse(self.participated.__contains__, self.sources))
+        candidates = list(filterfalse(self.visitation.__contains__, self.sources))
         if not candidates:
             raise ProtocolError("relay jump requested but every source participated")
         return self.rng.choice(candidates)
@@ -293,21 +250,20 @@ class RoundRunner:
             deliver(
                 MessageKind.OPERATION_REFUSED, initiator, SERVER, None, initiator_key
             )
-            outcome, total, reason = RoundOutcome.REFUSED, None, REFUSAL_TEXT
+            outcome, total = RoundOutcome.REFUSED, None
         else:
             deliver(MessageKind.SUM_REPORT, initiator, SERVER, total, initiator_key)
-            outcome, reason = RoundOutcome.SUM, None
+            outcome = RoundOutcome.SUM
         return RoundResult(
             outcome=outcome,
             total=total,
-            reason=reason,
             initiator=initiator,
             visitation=tuple(self.visitation),
         )
 
     def run(self) -> RoundResult:
         """Execute the whole round and return its result."""
-        if self.participated:
+        if self.visitation:
             raise ProtocolError("this runner has already run its round")
         self.establish_sessions()
         deliver = self.network.deliver
@@ -327,7 +283,7 @@ class RoundRunner:
         report = self._join_chain(initiator)
         holder = initiator
         if not self.malicious_probe:
-            while len(self.participated) < len(self.sources):
+            while len(self.visitation) < len(self.sources):
                 nxt = self.server_select_next(report)
                 jump = nxt is None
                 if jump:

@@ -1,4 +1,4 @@
-"""Deterministic simulated network: topology, delivery, transcript.
+"""Deterministic simulated network: topology, delivery, transcript, log format.
 
 The network is a set of source nodes with an undirected peer graph plus a
 distinguished aggregation server.  Source-to-source messages need a direct
@@ -25,16 +25,19 @@ from operator import attrgetter
 
 from .keying import SERVER, KeyBank, KeyBankConfig, KeyDirectory, SessionKey
 from .protocol import (
+    MASKED_VALUE_KINDS,
     MODES,
     Message,
     MessageKind,
-    NodeLabels,
     RoundResult,
     RoundRunner,
     node_label,
 )
 
-ADVERSARY_KINDS = ("none", "probe", "probe_ablation", "collusion", "link")
+PROBE_KINDS = ("probe", "probe_ablation")
+ADVERSARY_KINDS = ("none", *PROBE_KINDS, "collusion", "link")
+
+REFUSAL_TEXT = "operation cannot be performed"
 
 
 class NoLinkError(Exception):
@@ -83,19 +86,20 @@ def parse_adversary(spec: str) -> tuple[str, int | float | None]:
 
 
 class Topology:
-    """Undirected source graph plus the set of direct server links.
+    """Undirected source graph plus the direct server links.
 
     The graph is held once, as one sorted tuple of neighbours per source
     (``_peers[sid]``), read through ``sorted_neighbors`` and ``has_edge``.
     ``edges`` is derived from it in O(n + m) on each access.
+    ``server_links`` holds each linked source once, in the order given:
+    for a generated topology, component order, which the goldens hash.
     """
 
     def __init__(
         self,
         n_sources: int,
         edges: Iterable[tuple[int, int]],
-        aggregator_links: frozenset[int],
-        augmented_links: tuple[int, ...] = (),
+        server_links: Iterable[int],
     ) -> None:
         if n_sources < 1:
             raise ValueError("topology needs at least one source")
@@ -108,8 +112,7 @@ class Topology:
         self._install(
             n_sources,
             {sid: tuple(sorted(adjacency[sid])) for sid in range(1, n_sources + 1)},
-            aggregator_links,
-            augmented_links,
+            server_links,
         )
 
     def _install(
@@ -117,17 +120,17 @@ class Topology:
         n_sources: int,
         peers: dict[int, tuple[int, ...]],
         links: Iterable[int],
-        augmented: Iterable[int],
     ) -> None:
         """Store the sorted adjacency and link the server; the one place the
         layout is set, for the constructor and for ``generate_topology``."""
         self.n_sources = n_sources
         self._peers = peers
-        self.aggregator_links = frozenset(links)
-        self.augmented_links = tuple(augmented)
-        for s in self.aggregator_links:
+        self.server_links = tuple(links)
+        for s in self.server_links:
             if not 1 <= s <= n_sources:
                 raise ValueError(f"bad aggregator link to {s}")
+        if len(set(self.server_links)) < len(self.server_links):
+            raise ValueError(f"bad aggregator links {self.server_links}: one repeats")
 
     def sources(self) -> range:
         return range(1, self.n_sources + 1)
@@ -159,13 +162,13 @@ class Topology:
         return (
             self.n_sources == other.n_sources
             and self._peers == other._peers
-            and self.aggregator_links == other.aggregator_links
+            and set(self.server_links) == set(other.server_links)
         )
 
     def __repr__(self) -> str:  # pragma: no cover
         return (
             f"Topology(n={self.n_sources}, edges={len(self.edges)}, "
-            f"server_links={sorted(self.aggregator_links)})"
+            f"server_links={self.server_links})"
         )
 
 
@@ -207,7 +210,7 @@ def generate_topology(n: int, p: float, rng: random.Random) -> Topology:
         peers[a] = tuple(row)
         row.clear()  # no later row appends to it; halves the peak memory
     seen = [False] * (n + 1)
-    augmented = []
+    links = []
     for start in range(1, n + 1):
         if seen[start]:
             continue
@@ -218,10 +221,43 @@ def generate_topology(n: int, p: float, rng: random.Random) -> Topology:
                 if not seen[peer]:
                     seen[peer] = True
                     component.append(peer)
-        augmented.append(rng.choice(sorted(component)))
+        links.append(rng.choice(sorted(component)))
     topology = Topology.__new__(Topology)
-    topology._install(n, peers, augmented, augmented)
+    topology._install(n, peers, links)
     return topology
+
+
+class _NodeLabels(dict):
+    """``node_label`` by node id, each label formatted on first lookup.
+
+    One rendering pass builds one table and drops it when it is done, so
+    no label outlives the pass.
+    """
+
+    def __missing__(self, node_id: int) -> str:
+        label = self[node_id] = node_label(node_id)
+        return label
+
+
+def _masked(payload: int, labels: _NodeLabels) -> str:
+    return f"masked={payload}"
+
+
+# How each kind's payload is logged, keyed by the kind's wire name.
+_PAYLOAD_FORMATS = {
+    **{kind.value: _masked for kind in MASKED_VALUE_KINDS},
+    MessageKind.INITIATE_ROUND.value: lambda payload, labels: "-",
+    MessageKind.KEY_INDEX_ANNOUNCE.value: lambda payload, labels: f"index={payload}",
+    MessageKind.PERMUTE_EXCHANGE.value: (
+        lambda perm, labels: f"perm(n={len(perm.order)})"
+    ),
+    MessageKind.NEIGHBOR_REPORT.value: (
+        lambda peers, labels: "neighbors=" + "|".join(map(labels.__getitem__, peers))
+    ),
+    MessageKind.NEXT_HOP_DIRECTIVE.value: lambda node, labels: "next=" + labels[node],
+    MessageKind.SUM_REPORT.value: lambda payload, labels: f"sum={payload}",
+    MessageKind.OPERATION_REFUSED.value: lambda payload, labels: REFUSAL_TEXT,
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -233,18 +269,20 @@ class TraceEvent:
     message: Message
     readable_by: frozenset[int]
 
-    def line(self, labels: NodeLabels | None = None) -> str:
+    def line(self, labels: _NodeLabels | None = None) -> str:
         """Step, sender, receiver, variant, key id or PLAIN, payload;
         ``labels`` lets a caller rendering many events share one table."""
         if labels is None:
-            labels = NodeLabels()
+            labels = _NodeLabels()
         msg = self.message
         key = msg.key
-        # _value_ is the wire name; the .value property costs a call per line.
+        # _value_ is the wire name: a plain attribute, where .value is a
+        # property and a dict keyed by the member would call Enum.__hash__.
+        kind = msg.kind._value_
         return (
-            f"{self.step}\t{labels[msg.sender]}\t{labels[msg.receiver]}\t"
-            f"{msg.kind._value_}\t{'PLAIN' if key is None else key.key_id}\t"
-            f"{msg.payload_summary(labels)}"
+            f"{self.step}\t{labels[msg.sender]}\t{labels[msg.receiver]}\t{kind}\t"
+            f"{'PLAIN' if key is None else key.key_id}\t"
+            f"{_PAYLOAD_FORMATS[kind](msg.payload, labels)}"
         )
 
 
@@ -284,7 +322,7 @@ class Transcript:
 
         Node labels, for senders, receivers and neighbour reports alike,
         come from one table built for this call and dropped after it."""
-        labels = NodeLabels()
+        labels = _NodeLabels()
         return "".join([e.line(labels) + "\n" for e in self.events])
 
 
@@ -442,7 +480,7 @@ def run_scenario(config: ScenarioConfig) -> Transcript:
         config.n_sources, config.edge_prob, _subrng(config.seed, "topology")
     )
     network = Network(topology, directory)
-    probe = config.adversary in ("probe", "probe_ablation")
+    probe = config.adversary in PROBE_KINDS
     defense = config.adversary != "probe_ablation"
     results = []
     for round_no in range(1, config.rounds + 1):

@@ -11,12 +11,12 @@ from privagg.simnet import Network, Topology
 
 def path_topology(n, server_links=(1,)):
     edges = tuple((i, i + 1) for i in range(1, n))
-    return Topology(n, edges, frozenset(server_links))
+    return Topology(n, edges, server_links)
 
 
 def complete_topology(n, server_links=(1,)):
     edges = tuple((a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1))
-    return Topology(n, edges, frozenset(server_links))
+    return Topology(n, edges, server_links)
 
 
 def reaches_server(topology, source_id):
@@ -25,7 +25,7 @@ def reaches_server(topology, source_id):
     frontier = [source_id]
     while frontier:
         node = frontier.pop()
-        if node in topology.aggregator_links:
+        if node in topology.server_links:
             return True
         for peer in topology.sorted_neighbors(node):
             if peer not in seen:
@@ -36,7 +36,7 @@ def reaches_server(topology, source_id):
 
 def check_invariants(topology):
     for s in topology.sources():
-        if not topology.sorted_neighbors(s) and s not in topology.aggregator_links:
+        if not topology.sorted_neighbors(s) and s not in topology.server_links:
             raise ValueError(f"source {s} has no neighbor and no server link")
         if not reaches_server(topology, s):
             raise ValueError(f"source {s} cannot reach the server")

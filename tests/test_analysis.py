@@ -100,6 +100,15 @@ def test_invalid_models_rejected(kwargs):
         disclosure_probability(DisclosureModel(**kwargs))
 
 
+@pytest.mark.parametrize(
+    "masses", [(math.nan, 0.5), (0.5, math.nan), (math.inf, 0.0), (-math.inf, 1.0)]
+)
+def test_non_finite_cluster_mass_rejected(masses):
+    model = DisclosureModel(b=0.1, min_cluster=3, max_cluster=4, cluster_dist=masses)
+    with pytest.raises(ModelError, match="cluster_dist"):
+        disclosure_probability(model)
+
+
 def test_uniform_distribution_masses_sum_to_one():
     model = DisclosureModel(b=0.3, min_cluster=3, max_cluster=7)
     total = sum(model.mass(m) for m in range(3, 8))

@@ -184,7 +184,7 @@ def _sha256(text):
 @pytest.mark.parametrize("n, p, seed", sorted(TOPOLOGY_GOLDENS))
 def test_topology_golden(n, p, seed):
     topo = generate_topology(n, p, random.Random(seed))
-    blob = repr((topo.edges, sorted(topo.aggregator_links), topo.augmented_links))
+    blob = repr((topo.edges, sorted(topo.server_links), topo.server_links))
     assert _sha256(blob) == TOPOLOGY_GOLDENS[(n, p, seed)]
 
 
@@ -247,9 +247,7 @@ def test_generated_topology_matches_constructor(n, p):
     """The generator's adjacency equals the validated constructor's."""
     for seed in range(3):
         topo = generate_topology(n, p, random.Random(seed))
-        reference = Topology(
-            n, topo.edges, topo.aggregator_links, topo.augmented_links
-        )
+        reference = Topology(n, topo.edges, topo.server_links)
         assert topo == reference
         for sid in topo.sources():
             peers = topo.sorted_neighbors(sid)
@@ -282,6 +280,12 @@ def test_topology_rejects_bad_server_link(link):
         Topology(3, ((1, 2),), frozenset({1, link}))
     with pytest.raises(ValueError, match="bad aggregator link"):
         Topology(3, (), frozenset({link}))
+
+
+def test_topology_rejects_repeated_server_link():
+    with pytest.raises(ValueError, match="bad aggregator link"):
+        Topology(3, (), (1, 1))
+    assert Topology(3, (), (2, 1)).server_links == (2, 1)  # kept as given
 
 
 def test_topology_rejects_empty_source_set():

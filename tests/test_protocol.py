@@ -81,7 +81,7 @@ def test_initial_mask_never_transmitted():
 
 def test_server_select_next_uniform():
     runner, _ = build_round(complete_topology(3), (1, 1, 1), 16)
-    runner.participated = {1}
+    runner.visitation = {1: None}
     counts = Counter()
     for seed in range(4000):
         runner.rng = random.Random(seed)
@@ -92,9 +92,9 @@ def test_server_select_next_uniform():
 
 def test_server_select_next_exhausted_and_no_repeats():
     runner, _ = build_round(complete_topology(3), (1, 1, 1), 16)
-    runner.participated = {2, 3}
+    runner.visitation = {2: None, 3: None}
     assert runner.server_select_next((2, 3)) is None
-    runner.participated = {2}
+    runner.visitation = {2: None}
     for seed in range(50):
         runner.rng = random.Random(seed)
         assert runner.server_select_next((2, 3)) == 3
@@ -208,7 +208,7 @@ def test_relay_jump_completes_sparse_topology():
 
 def test_relay_jump_choice_requires_candidates():
     runner, _ = build_round(complete_topology(2), (1, 2), 16)
-    runner.participated = {1, 2}
+    runner.visitation = {1: None, 2: None}
     with pytest.raises(ProtocolError):
         runner.server_relay_jump_choice()
 

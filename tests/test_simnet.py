@@ -10,13 +10,7 @@ from helpers import build_round, check_invariants, complete_topology, path_topol
 from privagg import ScenarioConfig, run_scenario
 from privagg.cli import main, parse_config_text
 from privagg.keying import SERVER, Permutation, SessionKey
-from privagg.protocol import (
-    MODES,
-    REFUSAL_TEXT,
-    Message,
-    MessageKind,
-    RoundOutcome,
-)
+from privagg.protocol import MODES, Message, MessageKind, RoundOutcome
 from privagg.simnet import (
     ConfigError,
     Network,
@@ -33,14 +27,13 @@ def test_full_density_gives_complete_graph():
     assert len(topo.edges) == 10
     for s in topo.sources():
         assert len(topo.sorted_neighbors(s)) == 4
-    assert len(topo.aggregator_links) == 1  # one link for the single component
+    assert len(topo.server_links) == 1  # one link for the single component
 
 
 def test_zero_density_attaches_every_source_to_server():
     topo = generate_topology(4, 0.0, random.Random(0))
     assert topo.edges == ()
-    assert topo.aggregator_links == frozenset({1, 2, 3, 4})
-    assert len(topo.augmented_links) == 4
+    assert topo.server_links == (1, 2, 3, 4)  # one per component, in order
 
 
 def test_topology_generation_deterministic():
@@ -58,7 +51,7 @@ def test_topology_invariants_over_many_seeds():
         p = rng.random()
         topo = generate_topology(n, p, rng)
         check_invariants(topo)
-        assert topo.aggregator_links  # server linked to at least one source
+        assert topo.server_links  # server linked to at least one source
 
 
 def test_invalid_topology_arguments():
@@ -137,29 +130,28 @@ def test_delivered_records_equal_constructed_ones():
                 setattr(record, dataclasses.fields(record)[0].name, None)
 
 
-@pytest.mark.parametrize(
-    "kind, payload, text",
-    [
-        (MessageKind.INITIATE_ROUND, None, "-"),
-        (MessageKind.KEY_INDEX_ANNOUNCE, 7, "index=7"),
-        (MessageKind.PERMUTE_EXCHANGE, Permutation((1, 0, 2)), "perm(n=3)"),
-        (MessageKind.NEIGHBOR_REPORT, (2, 10), "neighbors=c2|c10"),
-        (MessageKind.NEIGHBOR_REPORT, (), "neighbors="),
-        (MessageKind.NEXT_HOP_DIRECTIVE, 4, "next=c4"),
-        (MessageKind.NEXT_HOP_DIRECTIVE, SERVER, "next=server"),
-        (MessageKind.MASKED_FORWARD, 11, "masked=11"),
-        (MessageKind.RELAY_UP, 12, "masked=12"),
-        (MessageKind.RELAY_DOWN, 13, "masked=13"),
-        (MessageKind.FINAL_MASKED_VALUE, 14, "masked=14"),
-        (MessageKind.COMPUTE_SUM_DIRECTIVE, 15, "masked=15"),
-        (MessageKind.SUM_REPORT, 16, "sum=16"),
-        (MessageKind.OPERATION_REFUSED, None, REFUSAL_TEXT),
-    ],
-)
+_PAYLOAD_CASES = [
+    (MessageKind.INITIATE_ROUND, None, "-"),
+    (MessageKind.KEY_INDEX_ANNOUNCE, 7, "index=7"),
+    (MessageKind.PERMUTE_EXCHANGE, Permutation((1, 0, 2)), "perm(n=3)"),
+    (MessageKind.NEIGHBOR_REPORT, (2, 10), "neighbors=c2|c10"),
+    (MessageKind.NEIGHBOR_REPORT, (), "neighbors="),
+    (MessageKind.NEXT_HOP_DIRECTIVE, 4, "next=c4"),
+    (MessageKind.NEXT_HOP_DIRECTIVE, SERVER, "next=server"),
+    (MessageKind.MASKED_FORWARD, 11, "masked=11"),
+    (MessageKind.RELAY_UP, 12, "masked=12"),
+    (MessageKind.RELAY_DOWN, 13, "masked=13"),
+    (MessageKind.FINAL_MASKED_VALUE, 14, "masked=14"),
+    (MessageKind.COMPUTE_SUM_DIRECTIVE, 15, "masked=15"),
+    (MessageKind.SUM_REPORT, 16, "sum=16"),
+    (MessageKind.OPERATION_REFUSED, None, "operation cannot be performed"),
+]
+
+
+@pytest.mark.parametrize("kind, payload, text", _PAYLOAD_CASES)
 def test_payload_summary_per_kind(kind, payload, text):
-    message = Message(kind, 1, SERVER, payload)
-    assert message.payload_summary() == text
-    event = TraceEvent(3, 1, message, frozenset({1}))
+    assert {case[0] for case in _PAYLOAD_CASES} == set(MessageKind)
+    event = TraceEvent(3, 1, Message(kind, 1, SERVER, payload), frozenset({1}))
     assert event.line() == f"3\tc1\tserver\t{kind.value}\tPLAIN\t{text}"
 
 
@@ -281,24 +273,44 @@ def test_serialized_line_format():
 
 
 def _reference_line(event):
-    """One trace line rendered on its own, with an f-string per label."""
+    """One trace line rendered on its own, every field formatted here."""
     msg = event.message
+    kind, payload = msg.kind, msg.payload
 
     def label(node_id):
         return "server" if node_id == SERVER else f"c{node_id}"
 
-    if msg.kind is MessageKind.NEIGHBOR_REPORT:
-        payload = "neighbors=" + "|".join(f"c{peer}" for peer in msg.payload)
+    if kind is MessageKind.INITIATE_ROUND:
+        text = "-"
+    elif kind is MessageKind.KEY_INDEX_ANNOUNCE:
+        text = f"index={payload}"
+    elif kind is MessageKind.PERMUTE_EXCHANGE:
+        text = f"perm(n={len(payload.order)})"
+    elif kind is MessageKind.NEIGHBOR_REPORT:
+        text = "neighbors=" + "|".join(label(peer) for peer in payload)
+    elif kind is MessageKind.NEXT_HOP_DIRECTIVE:
+        text = f"next={label(payload)}"
+    elif kind is MessageKind.SUM_REPORT:
+        text = f"sum={payload}"
+    elif kind is MessageKind.OPERATION_REFUSED:
+        text = "operation cannot be performed"
     else:
-        payload = msg.payload_summary()
+        assert kind in (
+            MessageKind.MASKED_FORWARD,
+            MessageKind.RELAY_UP,
+            MessageKind.RELAY_DOWN,
+            MessageKind.FINAL_MASKED_VALUE,
+            MessageKind.COMPUTE_SUM_DIRECTIVE,
+        )
+        text = f"masked={payload}"
     return "\t".join(
         (
             str(event.step),
             label(msg.sender),
             label(msg.receiver),
-            msg.kind.value,
+            kind.value,
             "PLAIN" if msg.key is None else msg.key.key_id,
-            payload,
+            text,
         )
     )
 
@@ -319,7 +331,7 @@ def test_isolated_source_reports_no_neighbors():
 def test_serialize_matches_per_event_reference_across_transcripts():
     """Label tables are per call: a larger transcript rendered before or
     after a smaller one leaves no trace in either."""
-    for n, p in ((3, 0.5), (300, 0.1), (3, 1.0)):
+    for n, p in ((3, 0.5), (300, 0.1), (3, 1.0), (1, 0.0)):
         transcript = run_scenario(
             ScenarioConfig(
                 n_sources=n, modulus=2**32, value_range=(0, 99), edge_prob=p, seed=n
