@@ -19,7 +19,10 @@ endpoints of those hops and recovery is exact; in strict-relay mode both
 hops run between the target and the server under the target's own session
 key, so the colluders read neither.  For link compromise each link used in
 the round is broken independently with probability b, and a middle node with
-two distinct incident links is exposed with probability b².
+two distinct incident links is exposed with probability b².  The Monte Carlo
+estimate of that rate reads the same random stream as one `random()` per
+used link per trial, but draws only the target's two values and steps over
+the rest with `getrandbits`, which consumes the stream identically.
 
 The malicious-server probe is a behavioral attack, not a transcript scan:
 the server ends the chain immediately after initiation, so the "sum" the
@@ -34,7 +37,7 @@ from __future__ import annotations
 import random
 from collections.abc import Callable
 from dataclasses import dataclass, replace
-from itertools import repeat, starmap
+from itertools import chain, repeat
 
 from .keying import SERVER
 from .masking import collusion_recover
@@ -261,10 +264,15 @@ def empirical_disclosure_rate(
 ) -> float:
     """Monte Carlo frequency of ``target`` being exposed by link compromise.
 
-    Same event and the same draws as `run_link_compromise`: each trial
-    draws one value per used link, in canonical order, at C level, and only
-    the draws at the positions of the target's two links are compared with
-    ``b``.
+    Same event and the same stream as `run_link_compromise`: each trial
+    owns one `random()` per used link, in canonical order, but calls
+    `random()` only at the positions of the target's two links and steps
+    over each run of other links with one `getrandbits(64 * k)`, which
+    advances the generator exactly as ``k`` calls to `random()` would.
+    The rate and the generator's final state are those of drawing every
+    link.  ``rng`` must therefore be a `random.Random`.  In strict-relay
+    mode both hops use the target's server link, so one draw is compared
+    twice.
     """
     if not 0.0 <= b <= 1.0:
         raise ValueError("link break probability must be in [0, 1]")
@@ -277,13 +285,23 @@ def empirical_disclosure_rate(
         raise AttackNotApplicableError(
             f"node {target} lacks two incident chain hops"
         )
-    at_in = index.link_position[_event_link(hop.inbound)]
-    at_out = index.link_position[_event_link(hop.outbound)]
-    draw = rng.random
-    n_links = len(index.link_position)
+    at = index.link_position
+    lo, hi = sorted((at[_event_link(hop.inbound)], at[_event_link(hop.outbound)]))
+    tail = 64 * (len(at) - 1 - hi)  # bits past the second draw
+    gap = 64 * (hi - lo - 1)  # bits between the two draws; -64 when lo == hi
+    draw, skip = rng.random, rng.getrandbits
+    if lo:
+        skip(64 * lo)
     exposed = 0
-    for _ in range(trials):
-        draws = list(starmap(draw, repeat((), n_links)))
-        if draws[at_in] < b and draws[at_out] < b:
+    # after each trial, skip to the next trial's first draw; after the last,
+    # skip only the links past ``hi``
+    for after in chain(repeat(tail + 64 * lo, trials - 1), (tail,)):
+        first = draw()
+        if gap > 0:
+            skip(gap)
+        second = draw() if gap >= 0 else first
+        if first < b and second < b:
             exposed += 1
+        if after:
+            skip(after)
     return exposed / trials

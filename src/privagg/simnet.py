@@ -93,6 +93,8 @@ class Topology:
     ``edges`` is derived from it in O(n + m) on each access.
     ``server_links`` holds each linked source once, in the order given:
     for a generated topology, component order, which the goldens hash.
+    Every source must have a path to the server; the constructor names the
+    first that has none.
     """
 
     def __init__(
@@ -114,6 +116,16 @@ class Topology:
             {sid: tuple(sorted(adjacency[sid])) for sid in range(1, n_sources + 1)},
             server_links,
         )
+        # search from the server's links for a source with no path to them
+        reached = set(self.server_links)
+        frontier = list(reached)
+        while frontier:
+            fresh = adjacency[frontier.pop()] - reached
+            reached |= fresh
+            frontier += fresh
+        if len(reached) < n_sources:
+            stranded = next(s for s in self.sources() if s not in reached)
+            raise ValueError(f"source {stranded} cannot reach the server")
 
     def _install(
         self,

@@ -329,6 +329,78 @@ def test_same_stream_monte_carlo_is_bit_identical(mode, n):
                     assert rng.getstate() == ref_rng.getstate()
 
 
+# Where a target's two links can sit among the round's used links, as
+# (lo, hi, n_links) with lo <= hi their canonical positions; each case is a
+# boundary of the Monte Carlo's skip layout.
+SKIP_BOUNDARIES = {
+    "one shared link": lambda lo, hi, n_links: lo == hi,
+    "no link before": lambda lo, hi, n_links: lo == 0,
+    "one link before": lambda lo, hi, n_links: lo == 1,
+    "no link after": lambda lo, hi, n_links: hi == n_links - 1,
+    "one link after": lambda lo, hi, n_links: hi == n_links - 2,
+    "no link between": lambda lo, hi, n_links: hi == lo + 1,
+    "one link between": lambda lo, hi, n_links: hi == lo + 2,
+    "over 100 links between": lambda lo, hi, n_links: hi - lo > 100,
+}
+
+
+def test_skip_layout_matches_reference_at_every_boundary():
+    covered = set()
+    for mode in MODES:
+        for n in (5, 300):
+            transcript = run_scenario(
+                ScenarioConfig(
+                    n_sources=n,
+                    modulus=2**20,
+                    value_range=(0, 99),
+                    edge_prob=0.3 if n == 5 else 0.02,
+                    seed=1,
+                    mode=mode,
+                )
+            )
+            links = links_used(transcript)
+            for hop in chain_hops(transcript)[1:]:
+                lo, hi = sorted(
+                    links.index(tuple(sorted((e.message.sender, e.message.receiver))))
+                    for e in (hop.inbound, hop.outbound)
+                )
+                cases = {
+                    name
+                    for name, holds in SKIP_BOUNDARIES.items()
+                    if holds(lo, hi, len(links))
+                } - covered
+                if not cases:
+                    continue
+                covered |= cases
+                for b in (0.5, 0.9):
+                    for trials in (1, 2, 7):
+                        seed = f"{mode}:{n}:{hop.node}:{b}:{trials}"
+                        rng, ref_rng = random.Random(seed), random.Random(seed)
+                        rate = empirical_disclosure_rate(
+                            transcript, hop.node, b, trials, rng
+                        )
+                        expected = reference_disclosure_rate(
+                            transcript, hop.node, b, trials, ref_rng
+                        )
+                        assert rate.hex() == expected.hex(), (seed, lo, hi)
+                        assert rng.getstate() == ref_rng.getstate(), (seed, lo, hi)
+    assert covered == set(SKIP_BOUNDARIES)
+
+
+def test_skips_consume_the_stream_like_random():
+    """The Monte Carlo's skips rely on this: ``getrandbits(64 * k)`` takes
+    the same Mersenne Twister words as ``k`` calls to ``random()``, so the
+    generator ends in the same state."""
+    for seed in range(50):
+        a, b = random.Random(seed), random.Random(seed)
+        for k in (1, 2, 3, 10, 311, 1000):
+            a.getrandbits(64 * k)
+            for _ in range(k):
+                b.random()
+            assert a.getstate() == b.getstate(), (seed, k)
+            assert a.random() == b.random(), (seed, k)
+
+
 def test_strict_relay_target_hops_share_one_link():
     transcript = ordered_chain_transcript(mode="strict-relay")
     target = transcript.result.visitation[1]

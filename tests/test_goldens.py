@@ -285,7 +285,7 @@ def test_topology_rejects_bad_server_link(link):
 def test_topology_rejects_repeated_server_link():
     with pytest.raises(ValueError, match="bad aggregator link"):
         Topology(3, (), (1, 1))
-    assert Topology(3, (), (2, 1)).server_links == (2, 1)  # kept as given
+    assert Topology(3, (), (2, 1, 3)).server_links == (2, 1, 3)  # kept as given
 
 
 def test_topology_rejects_empty_source_set():

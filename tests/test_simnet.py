@@ -63,6 +63,17 @@ def test_invalid_topology_arguments():
         Topology(2, ((1, 3),), frozenset({1}))
 
 
+def test_topology_rejects_source_with_no_path_to_server():
+    with pytest.raises(ValueError, match="source 2 cannot reach the server"):
+        Topology(3, (), (1,))
+    with pytest.raises(ValueError, match="source 4 cannot reach the server"):
+        Topology(5, ((1, 2), (2, 3), (4, 5)), (3,))
+    with pytest.raises(ValueError, match="source 1 cannot reach the server"):
+        Topology(1, (), ())
+    # a path through other sources is enough
+    assert Topology(5, ((1, 2), (2, 3), (3, 4), (4, 5)), (5,)).server_links == (5,)
+
+
 @pytest.mark.parametrize("n", [1, 8, 200])
 @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
 def test_topology_queries_agree_with_neighbor_sets(n, p):
@@ -86,7 +97,7 @@ def test_topology_equality_ignores_edge_order_and_duplicates():
     second = Topology(4, [(4, 1), (3, 2), (2, 1), (1, 2), (3, 2)], frozenset({1}))
     assert first == second
     assert first.edges == second.edges == ((1, 2), (1, 4), (2, 3))
-    assert first != Topology(4, edges[:2], frozenset({1}))
+    assert Topology(4, edges, {1, 4}) != Topology(4, edges[:2], {1, 4})
 
 
 _KEY = SessionKey(value=7, key_id="agg:c1:r1", scope=frozenset({1, SERVER}))
