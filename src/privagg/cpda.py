@@ -16,16 +16,20 @@ while any single column stays consistent with every possible x_i.
 Cluster formation, message transport, and encryption are out of scope; the
 kernel exists so the flat per-node cost of the masked chain can be compared
 against the superlinear per-member cost of the cluster computation.
-Operation counts tally modular multiplications and additions; modular
-inversions inside the solver are tallied as single multiplications.
+Operation counts come from the kernel's closed form (``cluster_op_count``),
+not from a tally taken while it runs.  They count modular multiplications
+and additions; each inversion inside the solver counts as one
+multiplication.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import statistics
 import time
 from dataclasses import dataclass
+from functools import partial
 
 from .masking import chain_add, mask_initial, unmask
 
@@ -40,19 +44,7 @@ DEFAULT_VALUE_BOUND = 2**16
 
 
 class SingularSystemError(Exception):
-    """The share system had no unique solution (impossible for distinct seeds)."""
-
-
-@dataclass
-class OpCounter:
-    """Tally of modular additions and multiplications."""
-
-    adds: int = 0
-    muls: int = 0
-
-    @property
-    def total(self) -> int:
-        return self.adds + self.muls
+    """The share system had no unique solution: two seeds are congruent mod q."""
 
 
 @dataclass(frozen=True)
@@ -76,19 +68,9 @@ class Cluster:
 def next_prime(n: int) -> int:
     """Smallest prime strictly greater than n (trial division)."""
     candidate = max(n + 1, 2)
-    while True:
-        if candidate % 2 == 0 and candidate != 2:
-            candidate += 1
-            continue
-        i = 3
-        is_prime = candidate == 2 or candidate % 2 != 0
-        while is_prime and i * i <= candidate:
-            if candidate % i == 0:
-                is_prime = False
-            i += 2
-        if is_prime:
-            return candidate
+    while any(candidate % d == 0 for d in range(2, math.isqrt(candidate) + 1)):
         candidate += 1
+    return candidate
 
 
 def default_seeds(m: int) -> tuple[int, ...]:
@@ -96,53 +78,47 @@ def default_seeds(m: int) -> tuple[int, ...]:
 
 
 def share_row(
-    x: int,
-    coeffs: tuple[int, ...],
-    seeds: tuple[int, ...],
-    q: int,
-    ops: OpCounter | None = None,
+    x: int, coeffs: tuple[int, ...], seeds: tuple[int, ...], q: int
 ) -> tuple[int, ...]:
     """Evaluate member's share polynomial at every seed.
 
     ``coeffs`` are the random degree-1..m-1 coefficients; the constant term
-    is the private value x.
+    is the private value x.  A seed that is 0 mod q would hand out x itself,
+    and two seeds congruent mod q would make the solve singular, so both are
+    rejected by name.
     """
     if not 0 <= x < q:
         raise ValueError(f"value {x} outside [0, {q})")
+    seen = {0: 0}
+    for s in seeds:
+        if s % q in seen:
+            raise ValueError(f"seed {s} is congruent to {seen[s % q]} mod {q}")
+        seen[s % q] = s
     row = []
     for s in seeds:
-        acc = x % q
+        acc = x
         power = 1
         for c in coeffs:
             power = power * s % q
             acc = (acc + c * power) % q
-            if ops is not None:
-                ops.muls += 2
-                ops.adds += 1
         row.append(acc)
     return tuple(row)
 
 
 def compute_shares(
-    x: int,
-    seeds: tuple[int, ...],
-    rng: random.Random,
-    q: int,
-    ops: OpCounter | None = None,
+    x: int, seeds: tuple[int, ...], rng: random.Random, q: int
 ) -> tuple[int, ...]:
     """Draw fresh random coefficients and emit the member's share row."""
     coeffs = tuple(rng.randrange(q) for _ in range(len(seeds) - 1))
-    return share_row(x, coeffs, seeds, q, ops)
+    return share_row(x, coeffs, seeds, q)
 
 
-def _solve_mod(
-    matrix: list[list[int]], rhs: list[int], q: int, ops: OpCounter | None
-) -> list[int]:
+def _solve_mod(matrix: list[list[int]], rhs: list[int], q: int) -> list[int]:
     """Gaussian elimination over the field of integers mod prime q.
 
-    Elimination work is constant for a given system size (zero factors are
-    multiplied through rather than skipped) so the operation count depends
-    only on the dimension, never on the values.
+    Zero factors are multiplied through rather than skipped, so the work
+    depends only on the dimension, never on the values; that is what lets
+    ``cluster_op_count`` give the solve's cost as a closed form.
     """
     m = len(rhs)
     a = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
@@ -153,29 +129,19 @@ def _solve_mod(
         if pivot != col:
             a[col], a[pivot] = a[pivot], a[col]
         inv = pow(a[col][col], q - 2, q)
-        if ops is not None:
-            ops.muls += 1  # inversion tallied as one multiplication
         for j in range(col, m + 1):
             a[col][j] = a[col][j] * inv % q
-            if ops is not None:
-                ops.muls += 1
         for r in range(m):
             if r == col:
                 continue
             factor = a[r][col]
             for j in range(col, m + 1):
                 a[r][j] = (a[r][j] - factor * a[col][j]) % q
-                if ops is not None:
-                    ops.muls += 1
-                    ops.adds += 1
     return [a[i][m] for i in range(m)]
 
 
 def assemble_cluster_sum(
-    share_matrix: list[tuple[int, ...]],
-    seeds: tuple[int, ...],
-    q: int,
-    ops: OpCounter | None = None,
+    share_matrix: list[tuple[int, ...]], seeds: tuple[int, ...], q: int
 ) -> int:
     """Column-sum the exchanged shares and solve for the summed constant term.
 
@@ -189,47 +155,53 @@ def assemble_cluster_sum(
         acc = 0
         for i in range(m):
             acc = (acc + share_matrix[i][j]) % q
-            if ops is not None:
-                ops.adds += 1
         column_sums.append(acc)
     vandermonde = []
     for s in seeds:
         row = [1]
         for _ in range(m - 1):
             row.append(row[-1] * s % q)
-            if ops is not None:
-                ops.muls += 1
         vandermonde.append(row)
-    solution = _solve_mod(vandermonde, column_sums, q, ops)
+    solution = _solve_mod(vandermonde, column_sums, q)
     return solution[0]
 
 
-def cluster_round(
-    cluster: Cluster,
-    rng: random.Random,
-    q: int,
-    ops: OpCounter | None = None,
-) -> int:
+def cluster_round(cluster: Cluster, rng: random.Random, q: int) -> int:
     """Full kernel for one cluster: share, exchange, assemble."""
-    matrix = [
-        compute_shares(x, cluster.seeds, rng, q, ops) for x in cluster.values
-    ]
-    return assemble_cluster_sum(matrix, cluster.seeds, q, ops)
+    matrix = [compute_shares(x, cluster.seeds, rng, q) for x in cluster.values]
+    return assemble_cluster_sum(matrix, cluster.seeds, q)
+
+
+def cluster_op_count(m: int) -> int:
+    """Modular operations in one ``cluster_round`` of m members.
+
+    The closed form ``4m**3 + 3m(m-1)/2`` is the sum of four steps:
+
+    - share: each of m members evaluates m-1 coefficients at m seeds, one
+      power step, one product and one sum each: ``3m**2 (m-1)``;
+    - sum the columns: ``m**2`` additions;
+    - build the Vandermonde rows: m-1 powers per seed, ``m (m-1)``;
+    - solve: per column one inversion (counted as one multiplication) and
+      ``m + 1 - col`` normalising multiplications, then ``m + 1 - col``
+      multiply-subtracts in each of the other m-1 rows, which sums to
+      ``m + (2m-1)(m**2 + 3m)/2``.
+    """
+    return 4 * m**3 + 3 * m * (m - 1) // 2
 
 
 def _chain_kernel(
     values: tuple[int, ...], rng: random.Random, modulus: int
-) -> tuple[int, int]:
-    """Masked-chain kernel; returns (sum, op count).
+) -> int:
+    """Masked-chain kernel; returns the sum.
 
     Every call into the masking core is exactly one modular addition, so the
-    count is the number of calls: n folds plus one unmask.
+    kernel costs n + 1 of them: n folds plus one unmask.
     """
     mask = rng.randrange(modulus)
     running = mask_initial(values[0], mask, modulus)
     for x in values[1:]:
         running = chain_add(running, x, modulus)
-    return unmask(running, mask, modulus), len(values) + 1
+    return unmask(running, mask, modulus)
 
 
 @dataclass(frozen=True)
@@ -254,7 +226,7 @@ def benchmark_kernel(
     seed: int = 0,
     value_bound: int = DEFAULT_VALUE_BOUND,
 ) -> BenchResult:
-    """Time the pure per-round kernel and count its modular operations.
+    """Time the pure per-round kernel and give its modular operation count.
 
     The chain kernel costs exactly n+1 modular additions regardless of
     topology; the cluster kernel's cost grows superlinearly in the cluster
@@ -274,32 +246,24 @@ def benchmark_kernel(
             )
     values_rng = random.Random(f"{seed}:values")
     values = tuple(values_rng.randrange(value_bound) for _ in range(n_nodes))
-    timings = []
-    op_count = 0
     if scheme == "ours":
-        modulus = value_bound * n_nodes
-        expected = sum(values)
-        for rep in range(repetitions):
-            rng = random.Random(f"{seed}:rep:{rep}")
-            start = time.perf_counter_ns()
-            total, op_count = _chain_kernel(values, rng, modulus)
-            timings.append(time.perf_counter_ns() - start)
-            if total != expected:
-                raise RuntimeError(f"chain kernel sum {total} != {expected}")
+        name = "chain"
+        kernel = partial(_chain_kernel, values, modulus=value_bound * n_nodes)
+        expected, op_count = sum(values), n_nodes + 1
     else:
+        name = "cluster"
         q = next_prime(value_bound * n_nodes)
         cluster = Cluster(values=values, seeds=default_seeds(n_nodes))
-        expected = sum(values) % q
-        ops = OpCounter()
-        cluster_round(cluster, random.Random(f"{seed}:ops"), q, ops)
-        op_count = ops.total
-        for rep in range(repetitions):
-            rng = random.Random(f"{seed}:rep:{rep}")
-            start = time.perf_counter_ns()
-            total = cluster_round(cluster, rng, q)
-            timings.append(time.perf_counter_ns() - start)
-            if total != expected:
-                raise RuntimeError(f"cluster kernel sum {total} != {expected}")
+        kernel = partial(cluster_round, cluster, q=q)
+        expected, op_count = sum(values) % q, cluster_op_count(n_nodes)
+    timings = []
+    for rep in range(repetitions):
+        rng = random.Random(f"{seed}:rep:{rep}")
+        start = time.perf_counter_ns()
+        total = kernel(rng)
+        timings.append(time.perf_counter_ns() - start)
+        if total != expected:
+            raise RuntimeError(f"{name} kernel sum {total} != {expected}")
     return BenchResult(
         scheme=scheme,
         n_nodes=n_nodes,
