@@ -86,7 +86,7 @@ class _ChainIndex:
 
 
 def _event_link(event: TraceEvent) -> tuple[int, int]:
-    a, b = event.message.sender, event.message.receiver
+    a, b = event.sender, event.receiver
     return (a, b) if a < b else (b, a)
 
 
@@ -109,13 +109,13 @@ def chain_hops(transcript: Transcript, round_index: int = -1) -> list[ChainHop]:
     outbound: dict[int, TraceEvent] = {}
     links: set[tuple[int, int]] = set()
     for event in transcript.round_events(round_no):
-        msg = event.message
-        kind, sender, receiver = msg.kind, msg.sender, msg.receiver
+        kind, sender, receiver = event.kind, event.sender, event.receiver
         if kind in CHAIN_INBOUND and receiver not in inbound:
             inbound[receiver] = event
         if kind in CHAIN_OUTBOUND and sender not in outbound:
             outbound[sender] = event
-        links.add(_event_link(event))
+        # _event_link inlined: the endpoints are already read
+        links.add((sender, receiver) if sender < receiver else (receiver, sender))
     hops = [
         ChainHop(node=n, inbound=inbound.get(n), outbound=outbound.get(n))
         for n in transcript.results[round_no - 1].visitation
@@ -143,9 +143,7 @@ def _recover(
         return None
     if not (reads(hop.inbound) and reads(hop.outbound)):
         return None
-    return collusion_recover(
-        hop.outbound.message.payload, hop.inbound.message.payload, modulus
-    )
+    return collusion_recover(hop.outbound.payload, hop.inbound.payload, modulus)
 
 
 def semi_honest_view(transcript: Transcript, nodes: set[int]) -> list[TraceEvent]:
@@ -162,9 +160,9 @@ def semi_honest_view(transcript: Transcript, nodes: set[int]) -> list[TraceEvent
 def observed_masked_values(transcript: Transcript, nodes: set[int]) -> list[int]:
     """Masked chain values visible to the given nodes, in trace order."""
     return [
-        e.message.payload
+        e.payload
         for e in semi_honest_view(transcript, nodes)
-        if e.message.kind in MASKED_VALUE_KINDS
+        if e.kind in MASKED_VALUE_KINDS
     ]
 
 

@@ -5,7 +5,8 @@ Subcommands:
   run     execute a scenario config, write the transcript log, print a
           one-line summary ``outcome,sum,rounds``
   attack  run a scenario and apply an adversary model, emitting one CSV row
-          per attacked target
+          per attacked target; every configured round is simulated but only
+          the last is attacked, and ``true_value`` is that round's value
   curve   emit the disclosure-probability comparison curve as CSV
   bench   emit kernel operation counts and wall times as CSV
 

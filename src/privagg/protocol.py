@@ -80,17 +80,6 @@ def node_label(node_id: int) -> str:
     return "server" if node_id == SERVER else f"c{node_id}"
 
 
-@dataclass(frozen=True, slots=True)
-class Message:
-    """One typed protocol message, sent under ``key``; None means plaintext."""
-
-    kind: MessageKind
-    sender: int
-    receiver: int
-    payload: object = None
-    key: SessionKey | None = None
-
-
 class RoundOutcome(Enum):
     SUM = "sum"
     REFUSED = "refused"

@@ -7,11 +7,12 @@ topology generation guarantees every source at least an indirect path to the
 server (control traffic is logically routed, and its confidentiality never
 depends on the route: encrypted payloads are readable by key holders only).
 
-Every delivery appends one trace event carrying the message, the key it was
-encrypted under (or a plaintext marker), and the exact set of principals able
-to read it: the scope of that key, or every principal for plaintext.  A
-transcript is a pure function of the scenario configuration and seed:
-replaying the same seed reproduces it byte for byte.
+Every delivery appends one immutable ``TraceEvent``, the only record of the
+message: its kind, endpoints and payload, the key it was encrypted under
+(None for plaintext), and the exact set of principals able to read it: the
+scope of that key, or every principal for plaintext.  A transcript is a pure
+function of the scenario configuration and seed: replaying the same seed
+reproduces it byte for byte.
 """
 
 from __future__ import annotations
@@ -19,15 +20,15 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from itertools import compress, repeat, starmap
 from operator import attrgetter
+from typing import NamedTuple
 
 from .keying import SERVER, KeyBank, KeyBankConfig, KeyDirectory, SessionKey
 from .protocol import (
     MASKED_VALUE_KINDS,
     MODES,
-    Message,
     MessageKind,
     RoundResult,
     RoundRunner,
@@ -272,29 +273,47 @@ _PAYLOAD_FORMATS = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class TraceEvent:
-    """One delivered message with the principals able to read it."""
+class TraceEvent(NamedTuple):
+    """One delivered message with the principals able to read it.
+
+    The one record a delivery makes: step, round, kind, sender, receiver,
+    payload, the ``key`` it was sent under (None for plaintext) and
+    ``readable_by``, which is that key's own ``scope`` or, for plaintext,
+    the network's one set of every principal, shared and never copied.
+    Read fields by name: unpacking a tuple subclass is slower than
+    attribute reads on CPython 3.11.
+    """
 
     step: int
     round_no: int
-    message: Message
+    kind: MessageKind
+    sender: int
+    receiver: int
+    payload: object
+    key: SessionKey | None
     readable_by: frozenset[int]
+
+    @property
+    def message(self) -> TraceEvent:
+        """The record itself.  Its one reader is perfbench's correctness
+        gate (``perfbench/workloads.py``, ``check``), which reads
+        ``e.message.kind``, ``.sender`` and ``.receiver``; library code
+        reads the fields directly."""
+        return self
 
     def line(self, labels: _NodeLabels | None = None) -> str:
         """Step, sender, receiver, variant, key id or PLAIN, payload;
         ``labels`` lets a caller rendering many events share one table."""
         if labels is None:
             labels = _NodeLabels()
-        msg = self.message
-        key = msg.key
+        key = self.key
         # _value_ is the wire name: a plain attribute, where .value is a
         # property and a dict keyed by the member would call Enum.__hash__.
-        kind = msg.kind._value_
+        kind = self.kind._value_
         return (
-            f"{self.step}\t{labels[msg.sender]}\t{labels[msg.receiver]}\t{kind}\t"
+            f"{self.step}\t{labels[self.sender]}\t{labels[self.receiver]}\t{kind}\t"
             f"{'PLAIN' if key is None else key.key_id}\t"
-            f"{_PAYLOAD_FORMATS[kind](msg.payload, labels)}"
+            f"{_PAYLOAD_FORMATS[kind](self.payload, labels)}"
         )
 
 
@@ -338,18 +357,6 @@ class Transcript:
         return "".join([e.line(labels) + "\n" for e in self.events])
 
 
-# Slot setters of the two records each delivery builds.  A frozen dataclass
-# ``__init__`` fills its slots through ``object.__setattr__``, by name;
-# ``Network.deliver`` calls the slot descriptors directly, at about half the
-# cost.  The records stay frozen and slotted.
-_set_kind, _set_sender, _set_receiver, _set_payload, _set_key = (
-    getattr(Message, f.name).__set__ for f in fields(Message)
-)
-_set_step, _set_round_no, _set_message, _set_readable_by = (
-    getattr(TraceEvent, f.name).__set__ for f in fields(TraceEvent)
-)
-
-
 class Network:
     """Delivers messages, enforcing link existence and recording the trace."""
 
@@ -379,17 +386,16 @@ class Network:
                 raise NoLinkError(
                     f"no link between {node_label(sender)} and {node_label(receiver)}"
                 )
-        msg = object.__new__(Message)
-        _set_kind(msg, kind)
-        _set_sender(msg, sender)
-        _set_receiver(msg, receiver)
-        _set_payload(msg, payload)
-        _set_key(msg, key)
-        event = object.__new__(TraceEvent)
-        _set_step(event, len(self.events))
-        _set_round_no(event, self.round_no)
-        _set_message(event, msg)
-        _set_readable_by(event, self._all_principals if key is None else key.scope)
+        event = TraceEvent(
+            len(self.events),
+            self.round_no,
+            kind,
+            sender,
+            receiver,
+            payload,
+            key,
+            self._all_principals if key is None else key.scope,
+        )
         self.events.append(event)
         return event
 

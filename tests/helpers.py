@@ -98,11 +98,10 @@ def reference_chain_hops(transcript, round_index=-1):
     events = transcript.round_events(_ref_round_no(transcript, round_index))
     inbound, outbound = {}, {}
     for event in events:
-        msg = event.message
-        if msg.kind in _REF_INBOUND and msg.receiver not in inbound:
-            inbound[msg.receiver] = event
-        if msg.kind in _REF_OUTBOUND and msg.sender not in outbound:
-            outbound[msg.sender] = event
+        if event.kind in _REF_INBOUND and event.receiver not in inbound:
+            inbound[event.receiver] = event
+        if event.kind in _REF_OUTBOUND and event.sender not in outbound:
+            outbound[event.sender] = event
     return [
         ChainHop(node=n, inbound=inbound.get(n), outbound=outbound.get(n))
         for n in result.visitation
@@ -110,7 +109,7 @@ def reference_chain_hops(transcript, round_index=-1):
 
 
 def _ref_link(event):
-    return tuple(sorted((event.message.sender, event.message.receiver)))
+    return tuple(sorted((event.sender, event.receiver)))
 
 
 def reference_links_used(transcript, round_index=-1):
@@ -123,9 +122,7 @@ def _ref_recover(hop, reads, modulus):
         return None
     if not (reads(hop.inbound) and reads(hop.outbound)):
         return None
-    return collusion_recover(
-        hop.outbound.message.payload, hop.inbound.message.payload, modulus
-    )
+    return collusion_recover(hop.outbound.payload, hop.inbound.payload, modulus)
 
 
 def reference_collusion(transcript, target):

@@ -100,8 +100,8 @@ def test_criterion_2_masking_indistinguishability_exhaustive():
                     replace(base, values=values, force_initial_mask=r)
                 )
                 hops = chain_hops(transcript)
-                r1_counts[hops[1].inbound.message.payload] += 1
-                r2_counts[hops[2].inbound.message.payload] += 1
+                r1_counts[hops[1].inbound.payload] += 1
+                r2_counts[hops[2].inbound.payload] += 1
             assert r1_counts == [1] * m, f"R_1 not uniform for {values}"
             assert r2_counts == [1] * m, f"R_2 not uniform for {values}"
 

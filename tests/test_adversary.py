@@ -60,8 +60,8 @@ def test_initiator_view_includes_reported_sum():
     transcript = ordered_chain_transcript()
     initiator = transcript.result.initiator
     view = semi_honest_view(transcript, {initiator})
-    reports = [e for e in view if e.message.kind is MessageKind.SUM_REPORT]
-    assert reports and reports[0].message.payload == 26
+    reports = [e for e in view if e.kind is MessageKind.SUM_REPORT]
+    assert reports and reports[0].payload == 26
     # and hence the sum of everyone else's values
     assert (26 - 3) % 32 == 23
 
@@ -361,7 +361,7 @@ def test_skip_layout_matches_reference_at_every_boundary():
             links = links_used(transcript)
             for hop in chain_hops(transcript)[1:]:
                 lo, hi = sorted(
-                    links.index(tuple(sorted((e.message.sender, e.message.receiver))))
+                    links.index(tuple(sorted((e.sender, e.receiver))))
                     for e in (hop.inbound, hop.outbound)
                 )
                 cases = {
@@ -406,7 +406,7 @@ def test_strict_relay_target_hops_share_one_link():
     target = transcript.result.visitation[1]
     hop = chain_hops(transcript)[1]
     links = {
-        tuple(sorted((e.message.sender, e.message.receiver)))
+        tuple(sorted((e.sender, e.receiver)))
         for e in (hop.inbound, hop.outbound)
     }
     assert len(links) == 1

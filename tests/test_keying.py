@@ -274,7 +274,7 @@ def _rounds_by_key_id(events):
     name its own round."""
     rounds = {}
     for event in events:
-        key = event.message.key
+        key = event.key
         if key is not None:
             assert key.key_id.endswith(f":r{event.round_no}")
             rounds.setdefault(key.key_id, set()).add(event.round_no)

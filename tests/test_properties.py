@@ -55,18 +55,16 @@ def test_sum_correct_or_refused_only_on_false_alarm(config):
 @given(scenarios())
 def test_hops_readable_by_their_endpoints_only(config):
     for event in run_scenario(config).events:
-        msg = event.message
-        if msg.kind in HOP_KINDS:
-            assert event.readable_by == {msg.sender, msg.receiver}
+        if event.kind in HOP_KINDS:
+            assert event.readable_by == {event.sender, event.receiver}
 
 
 @PROPERTY_SETTINGS
 @given(scenarios(modes=("strict-relay",)))
 def test_strict_relay_chain_traffic_readable_by_its_own_source_only(config):
     for event in run_scenario(config).events:
-        msg = event.message
-        if msg.kind in MASKED_VALUE_KINDS:
-            endpoints = {msg.sender, msg.receiver}
+        if event.kind in MASKED_VALUE_KINDS:
+            endpoints = {event.sender, event.receiver}
             assert SERVER in endpoints
             assert event.readable_by == endpoints
 
@@ -78,7 +76,7 @@ def test_message_counts_match_closed_form(config):
     transcript = run_scenario(config)
     for round_no in range(1, config.rounds + 1):
         events = transcript.round_events(round_no)
-        kinds = Counter(e.message.kind for e in events)
+        kinds = Counter(e.kind for e in events)
         d = kinds[MessageKind.MASKED_FORWARD]
         j = kinds[MessageKind.RELAY_UP]
         assert d + j == n - 1

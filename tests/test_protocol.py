@@ -54,14 +54,12 @@ def test_initiator_begin_masks_and_reports():
     )
     runner.run()
     first_report = next(
-        e.message for e in network.events
-        if e.message.kind is MessageKind.NEIGHBOR_REPORT
+        e for e in network.events if e.kind is MessageKind.NEIGHBOR_REPORT
     )
     assert first_report.sender == 1
     assert first_report.payload == (2,)  # adjacency of node 1 on the path
     first_forward = next(
-        e.message for e in network.events
-        if e.message.kind is MessageKind.MASKED_FORWARD
+        e for e in network.events if e.kind is MessageKind.MASKED_FORWARD
     )
     assert first_forward.payload == 14  # (11 + 3) mod 32
 
@@ -75,8 +73,8 @@ def test_initial_mask_never_transmitted():
     result, network = run_path_chain((3, 9, 14), 32, force_initial_mask=11)
     assert result.outcome is RoundOutcome.SUM
     for event in network.events:
-        payload = event.message.payload
-        assert payload != 11 or event.message.kind is MessageKind.KEY_INDEX_ANNOUNCE
+        payload = event.payload
+        assert payload != 11 or event.kind is MessageKind.KEY_INDEX_ANNOUNCE
 
 
 def test_server_select_next_uniform():
@@ -103,15 +101,15 @@ def test_server_select_next_exhausted_and_no_repeats():
 def test_forward_chain_values_on_path():
     result, network = run_path_chain((3, 9, 14), 32, force_initial_mask=11)
     forwards = [
-        e.message.payload
+        e.payload
         for e in network.events
-        if e.message.kind is MessageKind.MASKED_FORWARD
+        if e.kind is MessageKind.MASKED_FORWARD
     ]
     assert forwards == [14, 23]  # oracle: running sums of 11+3, +9
     finals = [
-        e.message.payload
+        e.payload
         for e in network.events
-        if e.message.kind is MessageKind.FINAL_MASKED_VALUE
+        if e.kind is MessageKind.FINAL_MASKED_VALUE
     ]
     assert finals == [5]  # (11 + 3 + 9 + 14) mod 32
     assert result.total == 26
@@ -124,11 +122,10 @@ def test_strict_relay_same_sum_no_source_to_source_traffic():
     assert direct.total == strict.total == 26
     assert direct.visitation == strict.visitation
     for event in network.events:
-        msg = event.message
-        assert msg.sender == 0 or msg.receiver == 0, (
-            f"source-to-source message {msg.kind} in strict-relay mode"
+        assert event.sender == 0 or event.receiver == 0, (
+            f"source-to-source message {event.kind} in strict-relay mode"
         )
-        assert msg.kind is not MessageKind.MASKED_FORWARD
+        assert event.kind is not MessageKind.MASKED_FORWARD
 
 
 def test_strict_relay_equivalence_over_seeds():
@@ -158,23 +155,22 @@ def test_every_forward_follows_its_pairwise_setup():
     exchange = MessageKind.PERMUTE_EXCHANGE
     forwards = 0
     for i, event in enumerate(events):
-        msg = event.message
-        if msg.kind is not MessageKind.MASKED_FORWARD:
+        if event.kind is not MessageKind.MASKED_FORWARD:
             continue
         forwards += 1
-        lo, hi = sorted((msg.sender, msg.receiver))
-        assert msg.key.key_id == f"pair:c{lo}:c{hi}:r{event.round_no}"
+        lo, hi = sorted((event.sender, event.receiver))
+        assert event.key.key_id == f"pair:c{lo}:c{hi}:r{event.round_no}"
         announces = [
             j for j in range(i)
             if events[j].round_no == event.round_no
-            and events[j].message.kind is MessageKind.KEY_INDEX_ANNOUNCE
-            and {events[j].message.sender, events[j].message.receiver} == {lo, hi}
+            and events[j].kind is MessageKind.KEY_INDEX_ANNOUNCE
+            and {events[j].sender, events[j].receiver} == {lo, hi}
         ]
         assert len(announces) == 1
         j = announces[0]
-        a, b = events[j].message.sender, events[j].message.receiver
+        a, b = events[j].sender, events[j].receiver
         assert [
-            (e.round_no, e.message.kind, e.message.sender, e.message.receiver)
+            (e.round_no, e.kind, e.sender, e.receiver)
             for e in events[j - 4 : j]
         ] == [
             (event.round_no, exchange, a, SERVER),
@@ -198,11 +194,11 @@ def test_relay_jump_completes_sparse_topology():
     assert result.total == 26
     relays = [
         e for e in network.events
-        if e.message.kind in (MessageKind.RELAY_UP, MessageKind.RELAY_DOWN)
+        if e.kind in (MessageKind.RELAY_UP, MessageKind.RELAY_DOWN)
     ]
     assert len(relays) == 2  # one jump: up from the last holder, down to 3
     for event in relays:
-        assert event.message.key is not None  # never plaintext
+        assert event.key is not None  # never plaintext
     assert result.visitation == (1, 2, 3)
 
 
@@ -225,7 +221,7 @@ def test_single_node_round_refused():
     assert result.outcome is RoundOutcome.REFUSED
     refusals = [
         e for e in network.events
-        if e.message.kind is MessageKind.OPERATION_REFUSED
+        if e.kind is MessageKind.OPERATION_REFUSED
     ]
     assert len(refusals) == 1
 
@@ -301,6 +297,6 @@ def test_only_index_announcements_are_plaintext():
             )
         )
         for event in transcript.events:
-            if event.message.key is None:
-                assert event.message.kind is MessageKind.KEY_INDEX_ANNOUNCE
+            if event.key is None:
+                assert event.kind is MessageKind.KEY_INDEX_ANNOUNCE
 

@@ -1,6 +1,7 @@
 """Topology generation, delivery semantics, transcripts, scenario runs."""
 
 import dataclasses
+import gc
 import random
 from collections import Counter
 
@@ -10,7 +11,7 @@ from helpers import build_round, check_invariants, complete_topology, path_topol
 from privagg import ScenarioConfig, run_scenario
 from privagg.cli import main, parse_config_text
 from privagg.keying import SERVER, Permutation, SessionKey
-from privagg.protocol import MODES, Message, MessageKind, RoundOutcome
+from privagg.protocol import MODES, MessageKind, RoundOutcome
 from privagg.simnet import (
     ConfigError,
     Network,
@@ -101,24 +102,30 @@ def test_topology_equality_ignores_edge_order_and_duplicates():
 
 
 _KEY = SessionKey(value=7, key_id="agg:c1:r1", scope=frozenset({1, SERVER}))
-_MESSAGE = Message(MessageKind.SUM_REPORT, 1, SERVER, 5, _KEY)
+_EVENT = TraceEvent(0, 1, MessageKind.SUM_REPORT, 1, SERVER, 5, _KEY, _KEY.scope)
 
 
 @pytest.mark.parametrize(
-    "record",
+    "record, names, copy",
     [
-        _MESSAGE,
-        TraceEvent(step=0, round_no=1, message=_MESSAGE, readable_by=frozenset({1})),
-        _KEY,
+        (_EVENT, TraceEvent._fields, TraceEvent._replace),
+        (_KEY, [f.name for f in dataclasses.fields(SessionKey)], dataclasses.replace),
     ],
-    ids=["Message", "TraceEvent", "SessionKey"],
+    ids=["TraceEvent", "SessionKey"],
 )
-def test_records_are_frozen_and_slotted(record):
-    first_field = dataclasses.fields(record)[0].name
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        setattr(record, first_field, None)
+def test_records_are_frozen_and_slotted(record, names, copy):
+    # a frozen dataclass raises FrozenInstanceError, an AttributeError
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
     assert not hasattr(record, "__dict__")
-    assert dataclasses.replace(record) == record
+    assert copy(record) == record
+
+
+def test_message_property_is_the_event_itself():
+    """perfbench's correctness gate (perfbench/workloads.py, ``check``)
+    reads ``e.message.kind``, ``.sender`` and ``.receiver``."""
+    assert _EVENT.message is _EVENT
 
 
 def test_delivered_records_equal_constructed_ones():
@@ -126,19 +133,46 @@ def test_delivered_records_equal_constructed_ones():
         path_topology(3), (3, 9, 14), 32, force_initiator=1
     )
     runner.run()
+    everyone = network.events[0].readable_by
+    assert everyone == network.topology.principals()
     for event in network.events:
-        msg = event.message
         rebuilt = TraceEvent(
             event.step,
             event.round_no,
-            Message(msg.kind, msg.sender, msg.receiver, msg.payload, msg.key),
+            event.kind,
+            event.sender,
+            event.receiver,
+            event.payload,
+            event.key,
             event.readable_by,
         )
-        assert event == rebuilt
-        for record in (event, msg):
-            assert not hasattr(record, "__dict__")
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(record, dataclasses.fields(record)[0].name, None)
+        assert event == rebuilt and type(event) is TraceEvent
+        assert event._replace(step=-1)._replace(step=event.step) == event
+        # a stored reference, never a copy
+        if event.key is None:
+            assert event.readable_by is everyone
+        else:
+            assert event.readable_by is event.key.scope
+
+
+def test_one_gc_tracked_object_per_delivery():
+    """A delivery allocates one object the cyclic collector tracks, its
+    ``TraceEvent``; the step and payload ints are untracked and the
+    plaintext readable-by set is shared."""
+    runner, network = build_round(path_topology(3), (1, 2, 3), 16)
+    deliver = network.deliver
+    kind = MessageKind.KEY_INDEX_ANNOUNCE
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        for i in range(1000):
+            deliver(kind, 1, SERVER, i)
+        grown = len(gc.get_objects()) - before
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert grown == 1000
 
 
 _PAYLOAD_CASES = [
@@ -162,7 +196,7 @@ _PAYLOAD_CASES = [
 @pytest.mark.parametrize("kind, payload, text", _PAYLOAD_CASES)
 def test_payload_summary_per_kind(kind, payload, text):
     assert {case[0] for case in _PAYLOAD_CASES} == set(MessageKind)
-    event = TraceEvent(3, 1, Message(kind, 1, SERVER, payload), frozenset({1}))
+    event = TraceEvent(3, 1, kind, 1, SERVER, payload, None, frozenset({1}))
     assert event.line() == f"3\tc1\tserver\t{kind.value}\tPLAIN\t{text}"
 
 
@@ -170,7 +204,7 @@ def test_plaintext_delivery_readable_by_everyone():
     runner, network = build_round(path_topology(3), (1, 2, 3), 16)
     runner.establish_sessions()
     announce = network.events[0]
-    assert announce.message.kind is MessageKind.KEY_INDEX_ANNOUNCE
+    assert announce.kind is MessageKind.KEY_INDEX_ANNOUNCE
     assert announce.readable_by == frozenset({SERVER, 1, 2, 3})
 
 
@@ -180,7 +214,7 @@ def test_pairwise_delivery_readable_by_endpoints_only():
     )
     runner.run()
     forwards = [
-        e for e in network.events if e.message.kind is MessageKind.MASKED_FORWARD
+        e for e in network.events if e.kind is MessageKind.MASKED_FORWARD
     ]
     assert forwards
     assert forwards[0].readable_by == frozenset({1, 2})
@@ -205,18 +239,17 @@ def test_confidentiality_soundness():
     principals = network.topology.principals()
     kinds = set()
     for event in network.events:
-        msg = event.message
-        kind = "plain" if msg.key is None else msg.key.key_id.split(":", 1)[0]
+        kind = "plain" if event.key is None else event.key.key_id.split(":", 1)[0]
         kinds.add(kind)
         if kind == "plain":
             assert event.readable_by == principals
         elif kind == "pair":
-            assert event.readable_by == {msg.sender, msg.receiver}
+            assert event.readable_by == {event.sender, event.receiver}
             assert SERVER not in event.readable_by
         else:
             assert kind == "agg"
-            source = msg.receiver if msg.sender == SERVER else msg.sender
-            assert msg.key.key_id.startswith(f"agg:c{source}:")
+            source = event.receiver if event.sender == SERVER else event.sender
+            assert event.key.key_id.startswith(f"agg:c{source}:")
             assert event.readable_by == {source, SERVER}
     assert kinds == {"plain", "pair", "agg"}
 
@@ -285,8 +318,7 @@ def test_serialized_line_format():
 
 def _reference_line(event):
     """One trace line rendered on its own, every field formatted here."""
-    msg = event.message
-    kind, payload = msg.kind, msg.payload
+    kind, payload = event.kind, event.payload
 
     def label(node_id):
         return "server" if node_id == SERVER else f"c{node_id}"
@@ -317,10 +349,10 @@ def _reference_line(event):
     return "\t".join(
         (
             str(event.step),
-            label(msg.sender),
-            label(msg.receiver),
+            label(event.sender),
+            label(event.receiver),
             kind.value,
-            "PLAIN" if msg.key is None else msg.key.key_id,
+            "PLAIN" if event.key is None else event.key.key_id,
             text,
         )
     )
@@ -481,7 +513,7 @@ def test_message_counts_match_closed_form(mode):
                 if adversary == "probe":
                     assert len(events) == n + 6
                     continue
-                kinds = Counter(e.message.kind for e in events)
+                kinds = Counter(e.kind for e in events)
                 d = kinds[MessageKind.MASKED_FORWARD]
                 j = kinds[MessageKind.RELAY_UP]
                 assert d + j == n - 1
