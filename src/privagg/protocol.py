@@ -26,6 +26,7 @@ runs of the same seed.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from itertools import filterfalse
@@ -215,12 +216,12 @@ class RoundRunner:
             return None
         return self.rng.choice(candidates)
 
-    def server_relay_jump_choice(self) -> int:
-        """Uniform choice among all sources not yet participated."""
-        candidates = list(filterfalse(self.visitation.__contains__, self.sources))
-        if not candidates:
+    def server_relay_jump_choice(self, remaining: list[int]) -> int:
+        """Uniform choice among ``remaining``, the sources not yet
+        participated in ascending order, which ``run`` keeps."""
+        if not remaining:
             raise ProtocolError("relay jump requested but every source participated")
-        return self.rng.choice(candidates)
+        return self.rng.choice(remaining)
 
     def finalize_round(
         self, initiator: int, mask: int, last_id: int, value: int
@@ -272,11 +273,13 @@ class RoundRunner:
         report = self._join_chain(initiator)
         holder = initiator
         if not self.malicious_probe:
-            while len(self.visitation) < len(self.sources):
+            remaining = list(self.sources)  # not yet joined, ascending
+            del remaining[bisect_left(remaining, initiator)]
+            while remaining:
                 nxt = self.server_select_next(report)
                 jump = nxt is None
                 if jump:
-                    nxt = self.server_relay_jump_choice()
+                    nxt = self.server_relay_jump_choice(remaining)
                 holder_key = keys[holder]
                 deliver(MessageKind.NEXT_HOP_DIRECTIVE, SERVER, holder, nxt, holder_key)
                 if jump or self.mode == "strict-relay":
@@ -287,5 +290,6 @@ class RoundRunner:
                     deliver(MessageKind.MASKED_FORWARD, holder, nxt, value, key)
                 value = chain_add(value, self.values[nxt - 1], self.modulus)
                 report = self._join_chain(nxt)
+                del remaining[bisect_left(remaining, nxt)]
                 holder = nxt
         return self.finalize_round(initiator, mask, holder, value)

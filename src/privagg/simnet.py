@@ -17,11 +17,12 @@ reproduces it byte for byte.
 
 from __future__ import annotations
 
+import math
 import random
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from itertools import compress, repeat, starmap
+from itertools import compress
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -190,32 +191,52 @@ def generate_topology(n: int, p: float, rng: random.Random) -> Topology:
     ``p``; one server link is then added per source component that has none,
     so every source reaches the server and no source is fully isolated.
 
-    It makes one ``rng.random()`` draw per pair ``a < b`` (O(n²) draws, in
-    row order), then one ``rng.choice`` per component, components taken in
-    order of their smallest member.  The draw order is part of the transcript
-    contract: changing it changes every seeded transcript.
+    Pair ``(a, b)`` is linked iff one ``rng.random()`` is below ``p``, one
+    draw per pair ``a < b`` in row order (O(n²) draws); then comes one
+    ``rng.choice`` per component, components taken in order of their
+    smallest member.  The draw order is part of the transcript contract:
+    changing it changes every seeded transcript.
 
-    The draws and their comparison with ``p`` run at C level, one row at a
-    time, with the same draws in the same order as a per-pair loop, so the
-    contract is unchanged.  Row ``a`` yields ``a``'s sorted upper
-    neighbours and ``a`` joins the lower list of each, so ``lower + upper``
-    is already ``a``'s sorted adjacency.  Everything around the draws is
-    O(n + m) for m edges.
+    Row ``a``'s ``k = n - a`` draws are read as one
+    ``rng.getrandbits(64 * k)``, which takes the same ``2k`` Mersenne Twister
+    words as ``k`` calls to ``random()``: 8 little-endian bytes per pair, its
+    first word ``w0`` in the low 4.  ``random()`` is
+    ``((w0 >> 5) * 2**26 + (w1 >> 6)) / 2**53``, so a pair is linked iff
+    that 53-bit integer is below ``ceil(p * 2**53)``, and its top byte, the
+    top byte of ``w0``, decides all but the pairs whose top byte equals the
+    threshold's (about 1 in 256).  Those are decided from both words with
+    the same formula.  Draws, edges and the final generator state are those
+    of calling ``random()`` per pair, so ``rng`` must be a
+    ``random.Random``.  Row ``a`` yields ``a``'s sorted upper neighbours and
+    ``a`` joins the lower list of each, so ``lower + upper`` is already
+    ``a``'s sorted adjacency.  Everything around the draws is O(n + m) for
+    m edges.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 0.0 <= p <= 1.0:
         raise ValueError("edge probability must be in [0, 1]")
-    # float(): int.__gt__(float) is NotImplemented, which is truthy.
-    linked = float(p).__gt__
-    draw = rng.random
+    p = float(p)
+    # top byte of a pair's 53-bit draw -> 1 linked, 0 not, 2 tie: decide exactly
+    top = math.ceil(p * 2.0**53) >> 45
+    decide = bytes(1 if t < top else 2 if t == top else 0 for t in range(256))
+    words = rng.getrandbits
     ids = list(range(n + 1))  # one int object per id, shared by every row
     lower: list[list[int]] = [[] for _ in ids]
     peers: dict[int, tuple[int, ...]] = {}
     for a in range(1, n + 1):
-        upper = list(
-            compress(ids[a + 1 :], map(linked, starmap(draw, repeat((), n - a))))
-        )
+        k = n - a
+        raw = words(64 * k).to_bytes(8 * k, "little")
+        flags = raw[3::8].translate(decide)
+        tie = flags.find(2)
+        if tie >= 0:
+            flags = bytearray(flags)
+            while tie >= 0:
+                w0 = int.from_bytes(raw[8 * tie : 8 * tie + 4], "little")
+                w1 = int.from_bytes(raw[8 * tie + 4 : 8 * tie + 8], "little")
+                flags[tie] = ((w0 >> 5) * 2.0**26 + (w1 >> 6)) * 2.0**-53 < p
+                tie = flags.find(2, tie + 1)
+        upper = list(compress(ids[a + 1 :], flags))
         for b in upper:
             lower[b].append(a)
         row = lower[a]
@@ -223,6 +244,7 @@ def generate_topology(n: int, p: float, rng: random.Random) -> Topology:
         peers[a] = tuple(row)
         row.clear()  # no later row appends to it; halves the peak memory
     seen = [False] * (n + 1)
+    unseen = n  # sources in no component yet
     links = []
     for start in range(1, n + 1):
         if seen[start]:
@@ -230,11 +252,16 @@ def generate_topology(n: int, p: float, rng: random.Random) -> Topology:
         seen[start] = True
         component = [start]
         for node in component:
+            if len(component) == unseen:
+                break  # every source is seen: no peer list can add one
             for peer in peers[node]:
                 if not seen[peer]:
                     seen[peer] = True
                     component.append(peer)
+        unseen -= len(component)
         links.append(rng.choice(sorted(component)))
+        if not unseen:
+            break
     topology = Topology.__new__(Topology)
     topology._install(n, peers, links)
     return topology

@@ -19,6 +19,35 @@ def complete_topology(n, server_links=(1,)):
     return Topology(n, edges, server_links)
 
 
+def reference_topology(n, p, rng):
+    """``generate_topology`` as a per-pair loop, kept as its oracle: one
+    ``rng.random() < p`` per pair ``a < b`` in row order, then one
+    ``rng.choice`` per component, taken in order of its smallest member."""
+    edges = [
+        (a, b)
+        for a in range(1, n + 1)
+        for b in range(a + 1, n + 1)
+        if rng.random() < p
+    ]
+    adjacency = {s: [] for s in range(1, n + 1)}
+    for a, b in edges:
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+    seen, links = set(), []
+    for start in range(1, n + 1):
+        if start in seen:
+            continue
+        component, frontier = {start}, [start]
+        while frontier:
+            for peer in adjacency[frontier.pop()]:
+                if peer not in component:
+                    component.add(peer)
+                    frontier.append(peer)
+        seen |= component
+        links.append(rng.choice(sorted(component)))
+    return Topology(n, edges, links)
+
+
 def reaches_server(topology, source_id):
     """True when the source has some path to the server."""
     seen = {source_id}

@@ -401,6 +401,25 @@ def test_skips_consume_the_stream_like_random():
             assert a.random() == b.random(), (seed, k)
 
 
+def test_random_words_decode_to_random():
+    """Topology generation relies on this: the little-endian bytes of
+    ``getrandbits(64 * k)`` hold ``k`` pairs of 32-bit words, each pair's
+    first word in the lower half, and ``random()`` is
+    ``((w0 >> 5) * 2**26 + (w1 >> 6)) / 2**53``, whose top byte is the top
+    byte of ``w0``."""
+    for seed in range(50):
+        a, b = random.Random(seed), random.Random(seed)
+        for k in (1, 2, 7, 1000):
+            raw = a.getrandbits(64 * k).to_bytes(8 * k, "little")
+            for j in range(k):
+                w0 = int.from_bytes(raw[8 * j : 8 * j + 4], "little")
+                w1 = int.from_bytes(raw[8 * j + 4 : 8 * j + 8], "little")
+                x = b.random()
+                assert ((w0 >> 5) * 2**26 + (w1 >> 6)) * 2.0**-53 == x, (seed, k)
+                assert raw[8 * j + 3] == int(x * 2**53) >> 45, (seed, k)
+            assert a.getstate() == b.getstate(), (seed, k)
+
+
 def test_strict_relay_target_hops_share_one_link():
     transcript = ordered_chain_transcript(mode="strict-relay")
     target = transcript.result.visitation[1]

@@ -109,6 +109,7 @@ TOPOLOGY_GOLDENS = {
     (1000, 1.0, 0): "abe78efae38ed40436f2fa4db7e64628492001b5203864c5c70dc9f58fa66e2b",
     (1000, 1.0, 1): "4463aba5dcdcaf313a7b315f8de78a93afc0cbd7c37825b1f9fb55cde84799e7",
     (1000, 1.0, 2): "8be0c5077ebeb793e066f4383a706feb72608b0c90f816786da797e8cfe06a86",
+    (2000, 0.005, 0): "192ca8fad99b99181828b444d1278d0cb4872b65e3c4f1112489046567dac0af",
 }
 
 TRANSCRIPT_GOLDENS = {

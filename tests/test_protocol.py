@@ -204,9 +204,9 @@ def test_relay_jump_completes_sparse_topology():
 
 def test_relay_jump_choice_requires_candidates():
     runner, _ = build_round(complete_topology(2), (1, 2), 16)
-    runner.visitation = {1: None, 2: None}
     with pytest.raises(ProtocolError):
-        runner.server_relay_jump_choice()
+        runner.server_relay_jump_choice([])
+    assert runner.server_relay_jump_choice([2]) == 2
 
 
 def test_finalize_reports_sum():

@@ -2,11 +2,18 @@
 
 import dataclasses
 import gc
+import math
 import random
 from collections import Counter
 
 import pytest
-from helpers import build_round, check_invariants, complete_topology, path_topology
+from helpers import (
+    build_round,
+    check_invariants,
+    complete_topology,
+    path_topology,
+    reference_topology,
+)
 
 from privagg import ScenarioConfig, run_scenario
 from privagg.cli import main, parse_config_text
@@ -53,6 +60,53 @@ def test_topology_invariants_over_many_seeds():
         topo = generate_topology(n, p, rng)
         check_invariants(topo)
         assert topo.server_links  # server linked to at least one source
+
+
+ORACLE_PROBABILITIES = (
+    0.0,
+    5e-324,
+    2**-8,
+    0.02,
+    0.3,
+    0.5 - 2**-53,
+    0.5,
+    0.5 + 2**-40,
+    1 - 2**-53,
+    1.0,
+)
+
+
+def test_generated_topology_matches_per_pair_oracle():
+    """Reading each row's draws as raw words gives the per-pair loop's
+    peers, server links and final generator state; the pairs whose top
+    byte ties with the threshold's are decided both ways."""
+    tie_outcomes = Counter()
+    for n in (1, 2, 3, 64, 300):
+        for p in ORACLE_PROBABILITIES:
+            top = math.ceil(p * 2**53) >> 45
+            for seed in range(3):
+                rng, oracle_rng = random.Random(seed), random.Random(seed)
+                topo = generate_topology(n, p, rng)
+                oracle = reference_topology(n, p, oracle_rng)
+                assert topo == oracle, (n, p, seed)
+                assert topo.server_links == oracle.server_links, (n, p, seed)
+                assert rng.getstate() == oracle_rng.getstate(), (n, p, seed)
+                twin = random.Random(seed)
+                for _ in range(n * (n - 1) // 2):
+                    x = twin.random()
+                    if int(x * 2**53) >> 45 == top:
+                        tie_outcomes[x < p] += 1
+    assert sum(tie_outcomes.values()) >= 100
+    assert tie_outcomes[True] and tie_outcomes[False]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_edge_decided_exactly_at_the_draw(seed):
+    """A pair is linked iff its draw is strictly below ``p``."""
+    x = random.Random(seed).random()
+    assert generate_topology(2, x, random.Random(seed)).edges == ()
+    linked = generate_topology(2, math.nextafter(x, 2), random.Random(seed))
+    assert linked.edges == ((1, 2),)
 
 
 def test_invalid_topology_arguments():
